@@ -26,7 +26,7 @@ from .diagnostics import (
     rolling_series,
     write_test_series_csv,
 )
-from .errors import DataFormatError, RatingLabError
+from .errors import DataFormatError, RatingLabError, SpanError
 from .estimation import (
     CountMatrix,
     ExposureVector,
@@ -61,7 +61,7 @@ from .simulator import (
     uniform_distribution,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "DAYS_PER_YEAR",
@@ -76,6 +76,7 @@ __all__ = [
     "Panel",
     "RatingLabError",
     "DataFormatError",
+    "SpanError",
     "parse_panel",
     "infer_span",
     "write_count_series_csv",

@@ -25,10 +25,9 @@ from typing import Optional, Sequence
 from .dates import parse_iso_date
 from .descriptive import moment_series, write_moment_series_csv
 from .diagnostics import rolling_series, write_test_series_csv
-from .errors import RatingLabError
+from .errors import RatingLabError, SpanError
 from .ingest import (
     daily_counts,
-    infer_span,
     parse_panel,
     transitions_per_bank,
     write_count_series_csv,
@@ -110,14 +109,10 @@ def _load_panel(args):
     path = Path(args.input)
     if not path.is_file():
         raise _UsageError(f"input file not found: {path}")
-    if args.span_from is not None and args.span_to is not None:
-        span = (args.span_from, args.span_to)
-    else:
-        lo, hi = infer_span(path)
-        span = (args.span_from or lo, args.span_to or hi)
-    if span[1] < span[0]:
-        raise _UsageError(f"--to {span[1]} is before --from {span[0]}")
-    return parse_panel(path, span)
+    try:
+        return parse_panel(path, (args.span_from, args.span_to))
+    except SpanError as exc:
+        raise _UsageError(f"--to {exc.end} is before --from {exc.start}") from None
 
 
 def _prepare_file(path_text: str) -> Path:
@@ -139,7 +134,11 @@ def cmd_moments(args) -> None:
     if args.tau < 1:
         raise _UsageError(f"--tau must be >= 1 day, got {args.tau}")
     panel = _load_panel(args)
-    write_moment_series_csv(moment_series(panel, tau=args.tau), _prepare_file(args.output))
+    try:
+        series = moment_series(panel, tau=args.tau)
+    except OverflowError:  # t - tau falls before the first representable date
+        raise _UsageError(f"--tau {args.tau} reaches before the year 1") from None
+    write_moment_series_csv(series, _prepare_file(args.output))
 
 
 def cmd_homogeneity(args) -> None:
@@ -177,6 +176,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     except RatingLabError as exc:
         print(f"ratinglab: error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except UnicodeDecodeError as exc:
+        print(f"ratinglab: error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:
         print(f"ratinglab: error: {exc}", file=sys.stderr)

@@ -18,6 +18,7 @@ import numpy as np
 from .dates import month_starts
 from .panel import Panel
 from .scale import N_STATES, RATING_LABELS
+from .textio import text_stream
 
 __all__ = [
     "Histogram",
@@ -160,9 +161,7 @@ def write_moment_series_csv(
     series: Sequence[MomentPoint], target: Union[str, Path, IO[str]]
 ) -> None:
     """Eight-column moment series; undefined moments are empty cells."""
-    own = isinstance(target, (str, Path))
-    stream = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
+    with text_stream(target, "w") as stream:
         writer = csv.writer(stream)
         writer.writerow(
             ["date", "mean_R", "var_R", "skew_R", "kurt_R",
@@ -170,6 +169,3 @@ def write_moment_series_csv(
         )
         for point in series:
             writer.writerow([point.date.isoformat()] + _cells(point.ratings) + _cells(point.increments))
-    finally:
-        if own:
-            stream.close()

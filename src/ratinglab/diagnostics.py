@@ -34,6 +34,7 @@ from .estimation import (
     matrix_exponential,
 )
 from .panel import Panel
+from .textio import text_stream
 
 __all__ = [
     "TestPoint",
@@ -170,9 +171,7 @@ def rolling_series(panel: Panel, statistic: str, window_length: str = "year") ->
 
 def write_test_series_csv(series: TestSeries, target: Union[str, Path, IO[str]]) -> None:
     """CSV: ``window_start,window_end,statistic,value,abs_value,n_transitions``."""
-    own = isinstance(target, (str, Path))
-    stream = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
+    with text_stream(target, "w") as stream:
         writer = csv.writer(stream)
         writer.writerow(
             ["window_start", "window_end", "statistic", "value", "abs_value", "n_transitions"]
@@ -188,6 +187,3 @@ def write_test_series_csv(series: TestSeries, target: Union[str, Path, IO[str]])
                     p.n_transitions,
                 ]
             )
-    finally:
-        if own:
-            stream.close()

@@ -16,3 +16,12 @@ class DataFormatError(RatingLabError):
             message = f"row {row}: {message}"
         super().__init__(message)
         self.row = row
+
+
+class SpanError(RatingLabError, ValueError):
+    """A span whose end precedes its start."""
+
+    def __init__(self, start, end):
+        super().__init__(f"span end {end} before start {start}")
+        self.start = start
+        self.end = end

@@ -22,6 +22,7 @@ import scipy.linalg
 from .dates import DAYS_PER_YEAR
 from .panel import Panel
 from .scale import N_STATES, RATING_LABELS
+from .textio import text_stream
 
 __all__ = [
     "CountMatrix",
@@ -228,23 +229,16 @@ def write_matrix_csv(
 ) -> None:
     """Write a 15x15 matrix with label headers at 17 significant digits."""
     m = matrix if isinstance(matrix, np.ndarray) else matrix.entries
-    own = isinstance(target, (str, Path))
-    stream = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
+    with text_stream(target, "w") as stream:
         writer = csv.writer(stream)
         writer.writerow(["state"] + list(RATING_LABELS))
         for i, row in enumerate(np.asarray(m, dtype=np.float64)):
             writer.writerow([RATING_LABELS[i]] + [format(v, ".17g") for v in row])
-    finally:
-        if own:
-            stream.close()
 
 
 def read_matrix_csv(source: Union[str, Path, IO[str]]) -> np.ndarray:
     """Read a matrix written by :func:`write_matrix_csv`."""
-    own = isinstance(source, (str, Path))
-    stream = open(source, "r", encoding="utf-8", newline="") if own else source
-    try:
+    with text_stream(source) as stream:
         reader = csv.reader(stream)
         header = next(reader)
         if header != ["state"] + list(RATING_LABELS):
@@ -254,9 +248,6 @@ def read_matrix_csv(source: Union[str, Path, IO[str]]) -> np.ndarray:
             if row[0] != RATING_LABELS[i]:
                 raise ValueError(f"unexpected row label {row[0]!r}")
             rows.append([float(v) for v in row[1:]])
-    finally:
-        if own:
-            stream.close()
     m = np.asarray(rows, dtype=np.float64)
     if m.shape != (N_STATES, N_STATES):
         raise ValueError("matrix is not 15x15")

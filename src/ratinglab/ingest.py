@@ -6,26 +6,30 @@ which withdraws the bank (coverage closes the day before).  Rows may
 appear in any order.  Re-affirmations (consecutive rows repeating a
 bank's current state) are collapsed so that "transition" always means a
 state change.
+
+A source is read once: a streaming ``csv.reader`` pass interns every
+field as an integer code, dates are parsed once per distinct text, and
+the span, the checks and the collapse into the panel's arrays are
+vectorised.  Each check names the row a row-by-row reader would.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
-import io
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, Optional, Union
 
 import numpy as np
 
 from .dates import parse_iso_date
-from .errors import DataFormatError
-from .panel import Panel, RatingEvent, RatingHistory
-from .scale import RATING_LABELS, WITHDRAWN_LABEL, decode, encode
+from .errors import DataFormatError, SpanError
+from .panel import Panel
+from .scale import N_STATES, RATING_LABELS, WITHDRAWN_LABEL
+from .textio import Target as Source, text_stream
 
 __all__ = [
-    "RawRecord",
     "parse_panel",
     "infer_span",
     "write_panel_csv",
@@ -36,63 +40,170 @@ __all__ = [
 
 HEADER = ("bank_id", "date", "rating")
 
-Source = Union[str, Path, IO[str], IO[bytes]]
+#: Label text -> state; ``WR`` gets the code one past the last state.
+_LABEL_CODE = {label: state for state, label in enumerate(RATING_LABELS)}
+_LABEL_CODE[WITHDRAWN_LABEL] = WITHDRAWN = N_STATES
 
 
-@dataclass(frozen=True)
-class RawRecord:
-    """One validated CSV row before assembly into histories."""
+class _EventColumns:
+    """One event CSV as code columns, from a single streaming read.
 
-    bank_id: str
-    date: dt.date
-    label: str
-    row: int
+    Reading stops at the first row without three fields: whichever
+    check runs, that row's error wins over every later row's.
+    """
 
+    def __init__(self, source: Source):
+        banks, dates, labels = {}, {}, {}
+        bank_col, date_col, label_col = [], [], []
+        self.blanks: list[int] = []  # data rows read before each blank line
+        self.bad_width: Optional[tuple[int, int]] = None  # (row, field count)
+        with text_stream(source) as stream:
+            reader = csv.reader(stream)
+            header = next(reader, None)
+            self.empty = header is None  # not even a header line
+            if header is not None and tuple(h.strip() for h in header) != HEADER:
+                raise DataFormatError(
+                    f"expected header {','.join(HEADER)!r}, got {','.join(header)!r}", row=1
+                )
+            for row in reader:
+                if len(row) == 3:
+                    b, d, lab = row
+                    bank_col.append(banks.setdefault(b, len(banks)))
+                    date_col.append(dates.setdefault(d, len(dates)))
+                    label_col.append(labels.setdefault(lab, len(labels)))
+                elif row:
+                    self.bad_width = (2 + len(bank_col) + len(self.blanks), len(row))
+                    break
+                else:
+                    self.blanks.append(len(bank_col))
 
-def _open_text(source: Source):
-    """Return (text stream, needs_close) for a path or file-like source."""
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    if isinstance(source, io.TextIOBase):
-        return source, False
-    # byte stream
-    return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
+        # Raw bank texts that strip to the same id share the id's code,
+        # numbered in order of first appearance.
+        ids: dict[str, int] = {}
+        canonical = np.array([ids.setdefault(b.strip(), len(ids)) for b in banks], dtype=np.int64)
+        self.bank_ids = list(ids)
+        self.bank = canonical[np.array(bank_col, dtype=np.int64)]
 
+        ordinals, self.date_errors = [], {}
+        for code, text in enumerate(dates):
+            try:
+                ordinals.append(parse_iso_date(text.strip()).toordinal())
+            except ValueError as exc:
+                ordinals.append(0)  # ordinals of real dates start at 1
+                self.date_errors[code] = str(exc)
+        self.date_code = np.array(date_col, dtype=np.int64)
+        self.ordinal = np.array(ordinals, dtype=np.int64)[self.date_code]
+        self.bad_date = self.ordinal == 0
 
-def _read_records(stream: IO[str], span: tuple[dt.date, dt.date]) -> list[RawRecord]:
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        return []  # entirely empty file -> empty panel
-    if tuple(h.strip() for h in header) != HEADER:
-        raise DataFormatError(
-            f"expected header {','.join(HEADER)!r}, got {','.join(header)!r}", row=1
+        self.label_texts = [lab.strip() for lab in labels]
+        self.label_code = np.array(label_col, dtype=np.int64)
+        states = np.array([_LABEL_CODE.get(t, -1) for t in self.label_texts], dtype=np.int64)
+        self.state = states[self.label_code]
+
+    def row(self, i: int) -> int:
+        """CSV row number (header = 1) of data record ``i``."""
+        return 2 + i + bisect.bisect_right(self.blanks, i)
+
+    def _width_error(self) -> DataFormatError:
+        row, width = self.bad_width
+        return DataFormatError(f"expected 3 fields, got {width}", row=row)
+
+    def _date_error(self, i: int) -> DataFormatError:
+        return DataFormatError(self.date_errors[int(self.date_code[i])], row=self.row(i))
+
+    def span(self) -> tuple[dt.date, dt.date]:
+        """Earliest and latest record date; only dates and widths are checked."""
+        if self.empty:
+            raise DataFormatError("cannot infer a span from an empty file")
+        if self.bad_date.any():
+            raise self._date_error(int(np.argmax(self.bad_date)))
+        if self.bad_width:
+            raise self._width_error()
+        if not self.ordinal.size:
+            raise DataFormatError("cannot infer a span from an empty panel")
+        return (
+            dt.date.fromordinal(int(self.ordinal.min())),
+            dt.date.fromordinal(int(self.ordinal.max())),
         )
-    start, end = span
-    records = []
-    valid_labels = set(RATING_LABELS) | {WITHDRAWN_LABEL}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise DataFormatError(f"expected 3 fields, got {len(row)}", row=lineno)
-        bank_id, date_text, label = (f.strip() for f in row)
-        if label not in valid_labels:
-            raise DataFormatError(f"unknown rating label {label!r}", row=lineno)
-        try:
-            date = parse_iso_date(date_text)
-        except ValueError as exc:
-            raise DataFormatError(str(exc), row=lineno) from None
-        if date < start or date > end:
-            raise DataFormatError(
-                f"date {date} outside span [{start}, {end}]", row=lineno
-            )
-        records.append(RawRecord(bank_id=bank_id, date=date, label=label, row=lineno))
-    return records
+
+    def panel(self, start: dt.date, end: dt.date) -> Panel:
+        """Validate every record against ``[start, end]`` and build the panel."""
+        # Per row, in row order; within a row: label, date, span.
+        bad_label = self.state < 0
+        lo, hi = start.toordinal(), end.toordinal()
+        outside = ~self.bad_date & ((self.ordinal < lo) | (self.ordinal > hi))
+        bad = bad_label | self.bad_date | outside
+        if bad.any():
+            i = int(np.argmax(bad))
+            if bad_label[i]:
+                label = self.label_texts[int(self.label_code[i])]
+                raise DataFormatError(f"unknown rating label {label!r}", row=self.row(i))
+            if self.bad_date[i]:
+                raise self._date_error(i)
+            day = dt.date.fromordinal(int(self.ordinal[i]))
+            raise DataFormatError(f"date {day} outside span [{start}, {end}]", row=self.row(i))
+        if self.bad_width:
+            raise self._width_error()
+
+        # Group by bank (in id order), then by day, then by row.
+        n_banks = len(self.bank_ids)
+        rank = np.empty(n_banks, dtype=np.int64)
+        rank[sorted(range(n_banks), key=self.bank_ids.__getitem__)] = np.arange(n_banks)
+        day = self.ordinal - lo
+        order = np.lexsort((day, rank[self.bank]))
+        bank, day, state = self.bank[order], day[order], self.state[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = bank[1:] != bank[:-1]
+        changed = np.ones(order.size, dtype=bool)
+        changed[1:] = state[1:] != state[:-1]
+        conflict = ~first & changed
+        conflict[1:] &= day[1:] == day[:-1]
+        withdrawn = state == WITHDRAWN
+        wr_before = np.cumsum(withdrawn) - withdrawn  # WR rows strictly before, anywhere
+        wr_before -= wr_before[np.flatnonzero(first)][np.cumsum(first) - 1]
+        after_wr = wr_before > 0
+        orphan_wr = first & withdrawn
+
+        # Per bank, banks in order of first appearance: conflicts, then
+        # the first row after a withdrawal or opening with one.
+        bad = conflict | after_wr | orphan_wr
+        if bad.any():
+            k = int(bank[bad].min())
+            mine = bank == k
+            hits = conflict & mine
+            i = int(np.argmax(hits if hits.any() else bad & mine))
+            name = self.bank_ids[k]
+            row = self.row(int(order[i]))
+            if conflict[i]:
+                a, b = self.label_code[order[i - 1]], self.label_code[order[i]]
+                raise DataFormatError(
+                    f"bank {name!r}: conflicting labels {self.label_texts[a]!r} and "
+                    f"{self.label_texts[b]!r} on {dt.date.fromordinal(lo + int(day[i]))}",
+                    row=row,
+                )
+            if after_wr[i]:
+                raise DataFormatError(f"bank {name!r}: event after withdrawal", row=row)
+            raise DataFormatError(f"bank {name!r}: withdrawal without a prior rating", row=row)
+
+        # A valid bank opens with a rating and ends with at most one WR, so
+        # dropping rows that repeat the previous row's state collapses both
+        # re-affirmations and same-day duplicates.
+        keep = ~withdrawn & (first | changed)
+        ranked = rank[bank]
+        coverage_end = np.full(n_banks, hi - lo, dtype=np.int64)
+        coverage_end[ranked[withdrawn]] = day[withdrawn] - 1
+        counts = np.bincount(ranked[keep], minlength=n_banks)
+        return Panel._from_arrays(
+            sorted(self.bank_ids),
+            np.concatenate([[0], np.cumsum(counts)]),
+            day[keep],
+            state[keep],
+            coverage_end,
+            (start, end),
+        )
 
 
-def parse_panel(source: Source, span: tuple[dt.date, dt.date]) -> Panel:
+def parse_panel(source: Source, span: tuple[Optional[dt.date], Optional[dt.date]]) -> Panel:
     """Parse an event CSV into a validated, immutable panel.
 
     Per bank, rows are date-sorted, same-state repeats are collapsed,
@@ -100,115 +211,51 @@ def parse_panel(source: Source, span: tuple[dt.date, dt.date]) -> Panel:
     (naming the offending row): unknown labels, conflicting labels on
     the same bank-day, events after withdrawal, dates outside the span.
     An empty file is an empty panel, not an error.
+
+    An end of ``span`` given as ``None`` is inferred from the records as
+    :func:`infer_span` does, with its errors, in the same single read.
+    A span ending before it starts raises :class:`SpanError`; when both
+    ends are given, that is checked before the source is read.
     """
-    stream, needs_close = _open_text(source)
-    try:
-        records = _read_records(stream, span)
-    finally:
-        if needs_close:
-            stream.close()
-
-    by_bank: dict[str, list[RawRecord]] = {}
-    for rec in records:
-        by_bank.setdefault(rec.bank_id, []).append(rec)
-
-    histories = []
-    for bank_id, recs in by_bank.items():
-        recs.sort(key=lambda r: (r.date, r.row))
-        for a, b in zip(recs, recs[1:]):
-            if a.date == b.date and a.label != b.label:
-                raise DataFormatError(
-                    f"bank {bank_id!r}: conflicting labels {a.label!r} and {b.label!r} "
-                    f"on {a.date}",
-                    row=b.row,
-                )
-        events: list[RatingEvent] = []
-        coverage_end = span[1]
-        withdrawn = False
-        for rec in recs:
-            if withdrawn:
-                raise DataFormatError(
-                    f"bank {bank_id!r}: event after withdrawal", row=rec.row
-                )
-            if rec.label == WITHDRAWN_LABEL:
-                if not events:
-                    raise DataFormatError(
-                        f"bank {bank_id!r}: withdrawal without a prior rating",
-                        row=rec.row,
-                    )
-                coverage_end = rec.date - dt.timedelta(days=1)
-                withdrawn = True
-                continue
-            state = encode(rec.label)
-            if events and events[-1].state == state:
-                continue  # re-affirmation, not a transition
-            if events and events[-1].date == rec.date:
-                continue  # duplicate row (same label guaranteed above)
-            events.append(RatingEvent(date=rec.date, state=state))
-        if not events:
-            raise DataFormatError(f"bank {bank_id!r}: no rating events")
-        histories.append(
-            RatingHistory(bank_id=bank_id, events=tuple(events), coverage_end=coverage_end)
-        )
-    return Panel(histories, span)
+    start, end = span
+    if start is not None and end is not None and end < start:
+        raise SpanError(start, end)
+    columns = _EventColumns(source)
+    if start is None or end is None:
+        lo, hi = columns.span()
+        start = lo if start is None else start
+        end = hi if end is None else end
+        if end < start:
+            raise SpanError(start, end)
+    return columns.panel(start, end)
 
 
 def infer_span(source: Source) -> tuple[dt.date, dt.date]:
     """Smallest [start, end] covering every record date in the file.
 
-    Used when no explicit span is supplied.  Only the date column is
-    inspected; full validation happens in :func:`parse_panel`.  A file
-    without data rows has no inferable span and raises.
+    Only the date column and the field counts are checked; labels and
+    per-bank rules are validated by :func:`parse_panel`.  A file without
+    data rows has no inferable span and raises.
     """
-    stream, needs_close = _open_text(source)
-    try:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError("cannot infer a span from an empty file") from None
-        if tuple(h.strip() for h in header) != HEADER:
-            raise DataFormatError(
-                f"expected header {','.join(HEADER)!r}, got {','.join(header)!r}", row=1
-            )
-        lo = hi = None
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataFormatError(f"expected 3 fields, got {len(row)}", row=lineno)
-            try:
-                date = parse_iso_date(row[1].strip())
-            except ValueError as exc:
-                raise DataFormatError(str(exc), row=lineno) from None
-            if lo is None or date < lo:
-                lo = date
-            if hi is None or date > hi:
-                hi = date
-    finally:
-        if needs_close:
-            stream.close()
-    if lo is None:
-        raise DataFormatError("cannot infer a span from an empty panel")
-    return lo, hi
+    return _EventColumns(source).span()
 
 
 def write_panel_csv(panel: Panel, target: Union[str, Path, IO[str]]) -> None:
     """Serialize a panel back to the event-CSV format (round-trip safe)."""
-    own = isinstance(target, (str, Path))
-    stream = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
+    withdrawn = np.flatnonzero(panel.coverage_end < panel.n_days - 1)
+    at = panel.offsets[withdrawn + 1]  # a WR row follows the bank's last event
+    bank = np.repeat(np.arange(panel.n_banks), np.diff(panel.offsets))
+    bank = np.insert(bank, at, withdrawn).tolist()
+    day = np.insert(panel.event_day, at, panel.coverage_end[withdrawn] + 1)
+    state = np.insert(panel.event_state, at, WITHDRAWN).tolist()
+    dates = (np.datetime64(panel.span[0], "D") + day).astype(str).tolist()
+    labels = RATING_LABELS + (WITHDRAWN_LABEL,)
+    with text_stream(target, "w") as stream:
         writer = csv.writer(stream)
         writer.writerow(HEADER)
-        for h in panel.histories:
-            for e in h.events:
-                writer.writerow([h.bank_id, e.date.isoformat(), decode(e.state)])
-            if h.coverage_end < panel.span[1]:
-                wr_date = h.coverage_end + dt.timedelta(days=1)
-                writer.writerow([h.bank_id, wr_date.isoformat(), WITHDRAWN_LABEL])
-    finally:
-        if own:
-            stream.close()
+        writer.writerows(
+            zip([panel.bank_ids[k] for k in bank], dates, [labels[s] for s in state])
+        )
 
 
 def daily_counts(panel: Panel) -> list[tuple[dt.date, int]]:
@@ -242,30 +289,21 @@ def transitions_per_bank(panel: Panel, window: int = 365) -> list[tuple[dt.date,
     cum_tr = np.concatenate([[0.0], np.cumsum(daily_tr)])
     cum_nr = np.concatenate([[0.0], np.cumsum(daily_total)])
 
+    t = np.arange(n)
+    lo = np.maximum(t - window, 0)
+    mean_banks = (cum_nr[t + 1] - cum_nr[lo]) / (t + 1 - lo)
+    rated = np.flatnonzero(mean_banks != 0.0)
+    ratio = (cum_tr[rated + 1] - cum_tr[lo[rated]]) / mean_banks[rated]
     start = panel.span[0]
-    out = []
-    for t in range(n):
-        lo = max(t - window, 0)
-        n_events = cum_tr[t + 1] - cum_tr[lo]
-        n_days = t + 1 - lo
-        mean_banks = (cum_nr[t + 1] - cum_nr[lo]) / n_days
-        if mean_banks == 0.0:
-            continue
-        out.append((start + dt.timedelta(days=t), float(n_events / mean_banks)))
-    return out
+    return [(start + dt.timedelta(days=d), r) for d, r in zip(rated.tolist(), ratio.tolist())]
 
 
 def write_count_series_csv(
     series: Iterable[tuple[dt.date, float]], target: Union[str, Path, IO[str]]
 ) -> None:
     """Write a ``date,value`` series; one row per day."""
-    own = isinstance(target, (str, Path))
-    stream = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
+    with text_stream(target, "w") as stream:
         writer = csv.writer(stream)
         writer.writerow(["date", "value"])
         for day, value in series:
             writer.writerow([day.isoformat(), format(value, ".12g")])
-    finally:
-        if own:
-            stream.close()

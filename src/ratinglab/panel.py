@@ -1,10 +1,12 @@
-"""Domain model: per-bank rating histories and the pooled cross-bank panel.
+"""Domain model: the pooled cross-bank panel and per-bank history views.
 
-Histories are sparse event lists evaluated as step functions.  A bank's
+A panel is stored only as arrays in compressed-sparse-row form: banks
+sorted by id, bank ``k`` owning events ``offsets[k]:offsets[k+1]`` of
+``event_day`` (day offset from the span start) and ``event_state``, and
+rated from its first event through day ``coverage_end[k]``.  A bank's
 rating on day ``t`` is the state of its most recent event on or before
-``t``; outside its coverage interval the bank is unrated and queries
-return ``None``.  This is equivalent to a daily-sampled series but far
-smaller, and the daily expansion is recoverable exactly.
+``t``; outside its coverage it is unrated.  :class:`RatingHistory`
+objects are views built on request, and an input to ``Panel``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .errors import SpanError
 from .scale import N_STATES
 
 __all__ = ["RatingEvent", "RatingHistory", "Increment", "Panel"]
@@ -115,18 +118,25 @@ class RatingHistory:
         return len(self.events) - 1
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    a = np.array(values, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
 class Panel:
     """Immutable collection of rating histories over a global span.
 
-    The span ``[start, end]`` is inclusive on both ends.  Vectorized
-    views of the event data (used by the window statistics) are built
-    lazily and cached; the panel must not be mutated after construction.
+    The span ``[start, end]`` is inclusive on both ends.  Arrays derived
+    from the stored ones for the window statistics are built lazily and
+    cached; the panel must not be mutated after construction.
     """
 
     def __init__(self, histories: Iterable[RatingHistory], span: tuple[dt.date, dt.date]):
+        """Pack histories (in any order) into the panel's arrays."""
         start, end = span
         if end < start:
-            raise ValueError(f"span end {end} before start {start}")
+            raise SpanError(start, end)
         hist = sorted(histories, key=lambda h: h.bank_id)
         seen = set()
         for h in hist:
@@ -138,33 +148,72 @@ class Panel:
                 raise ValueError(
                     f"bank {h.bank_id!r}: coverage [{lo}, {hi}] outside span [{start}, {end}]"
                 )
-        self.histories: tuple[RatingHistory, ...] = tuple(hist)
-        self.span: tuple[dt.date, dt.date] = (start, end)
+        events = [e for h in hist for e in h.events]
+        self._store(
+            [h.bank_id for h in hist],
+            np.cumsum([0] + [len(h.events) for h in hist]),
+            [(e.date - start).days for e in events],
+            [e.state for e in events],
+            [(h.coverage_end - start).days for h in hist],
+            (start, end),
+        )
+
+    @classmethod
+    def _from_arrays(cls, bank_ids, offsets, event_day, event_state, coverage_end, span):
+        """Panel over already-validated CSR arrays; ``bank_ids`` must be sorted."""
+        panel = cls.__new__(cls)
+        panel._store(bank_ids, offsets, event_day, event_state, coverage_end, span)
+        return panel
+
+    def _store(self, bank_ids, offsets, event_day, event_state, coverage_end, span):
+        self.span: tuple[dt.date, dt.date] = tuple(span)
+        self.bank_ids: tuple[str, ...] = tuple(bank_ids)
+        self.offsets = _frozen(offsets, np.int64)
+        self.event_day = _frozen(event_day, np.int32)
+        self.event_state = _frozen(event_state, np.int16)
+        self.coverage_end = _frozen(coverage_end, np.int32)
 
     # -- basic queries ------------------------------------------------
 
     @property
     def n_banks(self) -> int:
-        return len(self.histories)
+        return len(self.bank_ids)
 
-    @property
-    def bank_ids(self) -> tuple[str, ...]:
-        return tuple(h.bank_id for h in self.histories)
+    def _history(self, k: int) -> RatingHistory:
+        a, b = self.offsets[k], self.offsets[k + 1]
+        start = self.span[0]
+        events = tuple(
+            RatingEvent(date=start + dt.timedelta(days=d), state=s)
+            for d, s in zip(self.event_day[a:b].tolist(), self.event_state[a:b].tolist())
+        )
+        end = start + dt.timedelta(days=int(self.coverage_end[k]))
+        return RatingHistory(bank_id=self.bank_ids[k], events=events, coverage_end=end)
 
     @cached_property
-    def _by_id(self) -> dict[str, RatingHistory]:
-        return {h.bank_id: h for h in self.histories}
+    def histories(self) -> tuple[RatingHistory, ...]:
+        """Every bank's history view, in bank-id order."""
+        return tuple(self._history(k) for k in range(self.n_banks))
 
     def history(self, bank_id: str) -> RatingHistory:
-        return self._by_id[bank_id]
+        k = bisect.bisect_left(self.bank_ids, bank_id)
+        if k == self.n_banks or self.bank_ids[k] != bank_id:
+            raise KeyError(bank_id)
+        return self._history(k)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Panel):
             return NotImplemented
-        return self.span == other.span and self.histories == other.histories
+        return (
+            self.span == other.span
+            and self.bank_ids == other.bank_ids
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("offsets", "event_day", "event_state", "coverage_end")
+            )
+        )
 
     def __len__(self) -> int:
-        return len(self.histories)
+        return self.n_banks
 
     @property
     def n_days(self) -> int:
@@ -179,49 +228,19 @@ class Panel:
         return off
 
     def total_transitions(self) -> int:
-        return sum(h.transition_count() for h in self.histories)
+        return len(self.event_day) - self.n_banks
 
-    # -- vectorized event views ---------------------------------------
-
-    @cached_property
-    def _event_arrays(self) -> tuple[np.ndarray, ...]:
-        """(bank, day-offset, state) per event, sorted by (bank, day)."""
-        banks, offs, states = [], [], []
-        start = self.span[0]
-        for k, h in enumerate(self.histories):
-            for e in h.events:
-                banks.append(k)
-                offs.append((e.date - start).days)
-                states.append(e.state)
-        return (
-            np.asarray(banks, dtype=np.int64),
-            np.asarray(offs, dtype=np.int64),
-            np.asarray(states, dtype=np.int64),
-        )
-
-    @cached_property
-    def _coverage_offsets(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-bank first/last rated day offsets."""
-        start = self.span[0]
-        first = np.asarray([(h.events[0].date - start).days for h in self.histories], dtype=np.int64)
-        last = np.asarray([(h.coverage_end - start).days for h in self.histories], dtype=np.int64)
-        return first, last
+    # -- derived arrays -----------------------------------------------
 
     @cached_property
     def _transition_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(day-offset, from-state, to-state) per state change, day-sorted."""
-        offs, src, dst = [], [], []
-        start = self.span[0]
-        for h in self.histories:
-            for a, b in zip(h.events, h.events[1:]):
-                offs.append((b.date - start).days)
-                src.append(a.state)
-                dst.append(b.state)
-        off_a = np.asarray(offs, dtype=np.int64)
-        src_a = np.asarray(src, dtype=np.int64)
-        dst_a = np.asarray(dst, dtype=np.int64)
-        order = np.argsort(off_a, kind="stable")
-        return off_a[order], src_a[order], dst_a[order]
+        later = np.ones(len(self.event_day), dtype=bool)
+        later[self.offsets[:-1]] = False  # a bank's first event changes nothing
+        idx = np.flatnonzero(later)
+        off = self.event_day[idx]
+        order = np.argsort(off, kind="stable")
+        return off[order], self.event_state[idx - 1][order], self.event_state[idx][order]
 
     @cached_property
     def _segment_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -231,25 +250,17 @@ class Panel:
         ``start <= d < end``.  The last segment of a history ends one day
         past its coverage end.
         """
-        states, seg_start, seg_end = [], [], []
-        start = self.span[0]
-        for h in self.histories:
-            offs = [(e.date - start).days for e in h.events]
-            ends = offs[1:] + [(h.coverage_end - start).days + 1]
-            for e, a, b in zip(h.events, offs, ends):
-                states.append(e.state)
-                seg_start.append(a)
-                seg_end.append(b)
-        return (
-            np.asarray(states, dtype=np.int64),
-            np.asarray(seg_start, dtype=np.int64),
-            np.asarray(seg_end, dtype=np.int64),
-        )
+        seg_end = np.empty_like(self.event_day)
+        seg_end[:-1] = self.event_day[1:]
+        seg_end[self.offsets[1:] - 1] = self.coverage_end + 1
+        return self.event_state, self.event_day, seg_end
 
     @cached_property
     def _event_keys(self) -> np.ndarray:
-        banks, offs, _ = self._event_arrays
-        return banks * np.int64(self.n_days + 1) + offs
+        """Per event ``bank * (n_days + 1) + day``: ascending, one key space."""
+        stride = np.int64(self.n_days + 1)
+        bank_base = np.arange(self.n_banks, dtype=np.int64) * stride
+        return np.repeat(bank_base, np.diff(self.offsets)) + self.event_day
 
     def states_at(self, t: dt.date) -> np.ndarray:
         """Cross-section of states on day ``t``; -1 where a bank is unrated.
@@ -262,16 +273,12 @@ class Panel:
         off = (t - self.span[0]).days
         if not 0 <= off < self.n_days:
             return out
-        banks, _, states = self._event_arrays
-        first, last = self._coverage_offsets
-        if len(banks) == 0:
-            return out
-        stride = np.int64(self.n_days + 1)
-        query = np.arange(self.n_banks, dtype=np.int64) * stride + off
+        query = np.arange(self.n_banks, dtype=np.int64) * np.int64(self.n_days + 1) + off
+        # Last event on or before ``off`` in the whole key space; it is the
+        # bank's own only if it lies inside the bank's slice.
         pos = np.searchsorted(self._event_keys, query, side="right") - 1
-        valid = (pos >= 0) & (first <= off) & (off <= last)
-        valid &= banks[np.maximum(pos, 0)] == np.arange(self.n_banks)
-        out[valid] = states[pos[valid]]
+        valid = (pos >= self.offsets[:-1]) & (off <= self.coverage_end)
+        out[valid] = self.event_state[pos[valid]]
         return out
 
     def count_rated(self, t: dt.date) -> int:

@@ -32,7 +32,7 @@ import numpy as np
 from .dates import DAYS_PER_YEAR, parse_iso_date
 from .errors import DataFormatError
 from .estimation import GeneratorMatrix
-from .panel import Panel, RatingEvent, RatingHistory
+from .panel import Panel
 from .scale import N_STATES
 
 __all__ = [
@@ -177,10 +177,13 @@ def _simulate_bank(
     memory_days: int,
     day0: int,
     day1: int,
-) -> list[tuple[int, int]]:
-    """Event list [(day ordinal, state), ...] for one bank."""
+    days: list[int],
+    states: list[int],
+) -> None:
+    """Append one bank's events (day offset from ``day0``, state) to the lists."""
     state = _pick(initial_cum, rng.random())
-    events = [(day0, state)]
+    days.append(0)
+    states.append(state)
     last_day = day0
     t = float(day0)
     excite_until = -math.inf
@@ -242,14 +245,13 @@ def _simulate_bank(
                     chosen = j
                     break
 
-        events.append((day, chosen))
+        days.append(day - day0)
+        states.append(chosen)
         last_day = day
         if memory_days > 0 and chosen < state:
             excite_until = x + memory_days
         state = chosen
         t = x
-
-    return events
 
 
 def simulate(scenario: Scenario) -> Panel:
@@ -271,20 +273,26 @@ def simulate(scenario: Scenario) -> Panel:
     else:
         gamma, memory_days = 1.0, 0
 
-    width = max(len(str(max(scenario.n_banks - 1, 0))), 4)
-    histories = []
+    days: list[int] = []
+    states: list[int] = []
+    offsets = [0]
     for k in range(scenario.n_banks):
         rng = _bank_rng(scenario.seed, k)
-        raw = _simulate_bank(
-            rng, regime_days, daily_rates, initial_cum, gamma, memory_days, day0, day1
+        _simulate_bank(
+            rng, regime_days, daily_rates, initial_cum, gamma, memory_days, day0, day1,
+            days, states,
         )
-        events = tuple(
-            RatingEvent(date=dt.date.fromordinal(day), state=s) for day, s in raw
-        )
-        histories.append(
-            RatingHistory(bank_id=f"B{k:0{width}d}", events=events, coverage_end=end)
-        )
-    return Panel(histories, scenario.span)
+        offsets.append(len(days))
+    # Zero-padded to one width, the ids sort in index order.
+    width = max(len(str(max(scenario.n_banks - 1, 0))), 4)
+    return Panel._from_arrays(
+        [f"B{k:0{width}d}" for k in range(scenario.n_banks)],
+        offsets,
+        days,
+        states,
+        np.full(scenario.n_banks, day1 - day0),
+        scenario.span,
+    )
 
 
 # -- scenario configuration files ------------------------------------

@@ -8,7 +8,9 @@ tuples, so agreement between the two routes is meaningful evidence.
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
+import io
 import math
 
 import numpy as np
@@ -160,3 +162,151 @@ def stationary_distribution(q: np.ndarray, tol: float = 1e-13) -> np.ndarray:
             return nxt
         pi = nxt
     raise RuntimeError("stationary distribution iteration did not converge")
+
+
+# -- event-CSV reading ---------------------------------------------------
+#
+# The row-by-row reader the package used before ingestion became
+# columnar, kept as the reference for its accepted inputs, its results
+# and the exact text and precedence of its errors.
+
+LABELS = (
+    "E-", "E", "E+", "D-", "D", "D+", "C-", "C", "C+",
+    "B-", "B", "B+", "A-", "A", "A+",
+)
+WITHDRAWN = "WR"
+HEADER = ("bank_id", "date", "rating")
+
+
+class OracleFormatError(Exception):
+    """Carries the same text as the package's DataFormatError."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message if row is None else f"row {row}: {message}")
+
+
+class OracleSpanError(Exception):
+    """A resolved span whose end precedes its start."""
+
+    def __init__(self, start, end):
+        super().__init__(f"span end {end} before start {start}")
+        self.start, self.end = start, end
+
+
+def _iso_date(text):
+    try:
+        return dt.date.fromisoformat(text)
+    except ValueError:
+        raise ValueError(f"invalid ISO date {text!r}") from None
+
+
+def _read_records(text, span):
+    """Validated (bank_id, date, label, row) per data row, in row order."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        return []
+    if tuple(h.strip() for h in header) != HEADER:
+        raise OracleFormatError(
+            f"expected header {','.join(HEADER)!r}, got {','.join(header)!r}", row=1
+        )
+    start, end = span
+    records = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise OracleFormatError(f"expected 3 fields, got {len(row)}", row=lineno)
+        bank_id, date_text, label = (f.strip() for f in row)
+        if label not in LABELS and label != WITHDRAWN:
+            raise OracleFormatError(f"unknown rating label {label!r}", row=lineno)
+        try:
+            date = _iso_date(date_text)
+        except ValueError as exc:
+            raise OracleFormatError(str(exc), row=lineno) from None
+        if date < start or date > end:
+            raise OracleFormatError(f"date {date} outside span [{start}, {end}]", row=lineno)
+        records.append((bank_id, date, label, lineno))
+    return records
+
+
+def parse_events(text, span):
+    """[(bank_id, [(date, state), ...], coverage_end)] sorted by bank_id."""
+    by_bank = {}
+    for rec in _read_records(text, span):
+        by_bank.setdefault(rec[0], []).append(rec)
+    out = []
+    for bank_id, recs in by_bank.items():
+        recs.sort(key=lambda r: (r[1], r[3]))
+        for a, b in zip(recs, recs[1:]):
+            if a[1] == b[1] and a[2] != b[2]:
+                raise OracleFormatError(
+                    f"bank {bank_id!r}: conflicting labels {a[2]!r} and {b[2]!r} on {a[1]}",
+                    row=b[3],
+                )
+        events = []
+        coverage_end = span[1]
+        withdrawn = False
+        for _, date, label, row in recs:
+            if withdrawn:
+                raise OracleFormatError(f"bank {bank_id!r}: event after withdrawal", row=row)
+            if label == WITHDRAWN:
+                if not events:
+                    raise OracleFormatError(
+                        f"bank {bank_id!r}: withdrawal without a prior rating", row=row
+                    )
+                coverage_end = date - dt.timedelta(days=1)
+                withdrawn = True
+                continue
+            state = LABELS.index(label)
+            if events and events[-1][1] == state:
+                continue  # re-affirmation
+            if events and events[-1][0] == date:
+                continue  # duplicate row
+            events.append((date, state))
+        if not events:
+            raise OracleFormatError(f"bank {bank_id!r}: no rating events")
+        out.append((bank_id, events, coverage_end))
+    return sorted(out)
+
+
+def infer_span(text):
+    """Earliest and latest record date; checks only widths and dates."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise OracleFormatError("cannot infer a span from an empty file") from None
+    if tuple(h.strip() for h in header) != HEADER:
+        raise OracleFormatError(
+            f"expected header {','.join(HEADER)!r}, got {','.join(header)!r}", row=1
+        )
+    dates = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise OracleFormatError(f"expected 3 fields, got {len(row)}", row=lineno)
+        try:
+            dates.append(_iso_date(row[1].strip()))
+        except ValueError as exc:
+            raise OracleFormatError(str(exc), row=lineno) from None
+    if not dates:
+        raise OracleFormatError("cannot infer a span from an empty panel")
+    return min(dates), max(dates)
+
+
+def load_events(text, start=None, end=None):
+    """Span resolution then parsing, in the order the CLI has always used.
+
+    Missing ends are inferred (that read's errors come first), a
+    reversed span raises :class:`OracleSpanError`, then rows are parsed.
+    """
+    if start is None or end is None:
+        lo, hi = infer_span(text)
+        start = lo if start is None else start
+        end = hi if end is None else end
+    if end < start:
+        raise OracleSpanError(start, end)
+    return parse_events(text, (start, end)), (start, end)

@@ -181,6 +181,17 @@ def test_moments_rejects_bad_tau(tmp_path, capsys):
     assert "--tau" in capsys.readouterr().err
 
 
+def test_moments_tau_before_year_one_is_usage_error(tmp_path, capsys):
+    panel_csv = write_panel(tmp_path)
+    code = run(
+        "moments", "--input", str(panel_csv), "--output", str(tmp_path / "m.csv"),
+        "--tau", "1000000000",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ratinglab: error: --tau 1000000000") and err.count("\n") == 1
+
+
 # -- homogeneity / ck ----------------------------------------------------
 
 
@@ -225,6 +236,15 @@ def test_month_windows_over_one_year(tmp_path):
         == 0
     )
     assert len(rows(out)) - 1 <= 12
+
+
+def test_non_utf8_input_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes("bank_id,date,rating\nbanque-\u00e9,2007-01-01,B\n".encode("latin-1"))
+    code = run("counts", "--input", str(bad), "--output", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ratinglab: error: input is not UTF-8 text") and err.count("\n") == 1
 
 
 def test_records_outside_declared_span_are_data_errors(tmp_path, capsys):

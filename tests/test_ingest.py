@@ -1,11 +1,14 @@
 import datetime as dt
+import gc
 import io
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import ratinglab as rl
 from ratinglab import DataFormatError
 
@@ -327,6 +330,14 @@ def test_parse_from_path(tmp_path):
     assert rl.infer_span(path) == (D(2007, 1, 1), D(2007, 1, 1))
 
 
+def test_parse_from_byte_stream():
+    text = "bank_id,date,rating\nb1,2007-01-01,A+\nb1,2008-01-01,A\n"
+    stream = io.BytesIO(text.encode("utf-8"))
+    assert rl.parse_panel(stream, SPAN) == parse(text)
+    gc.collect()
+    assert not stream.closed  # the caller's stream is left open
+
+
 def test_parse_row_shuffle_property():
     rng = random.Random(5)
     rows = []
@@ -337,3 +348,149 @@ def test_parse_row_shuffle_property():
     for _ in range(5):
         rng.shuffle(rows)
         assert parse("bank_id,date,rating\n" + "\n".join(rows) + "\n") == base
+
+
+# -- differential check against the row-by-row reader ----------------------
+
+DAY0 = D(2008, 1, 1)
+GOOD_DATES = [DAY0 + dt.timedelta(days=k) for k in range(0, 42, 3)]
+ODD_DATES = (
+    "2008-01", "NaT", "0000-01-01", "", "  ", "2008-02-30", "01/02/2008", "2008-1-4",
+)
+VALID_LABELS = ("B", "B+", "C", "A-", "WR")
+ODD_LABELS = ("Z+", "", "wr", "b")
+BANKS = ("b1", "b2", "b3")
+
+
+def date_texts(day):
+    """Spellings of one day that ISO parsing accepts."""
+    y, w, d = day.isocalendar()
+    return st.sampled_from(
+        [day.isoformat()] * 3 + [day.strftime("%Y%m%d"), f"{y}-W{w:02d}-{d}", f" {day} "]
+    )
+
+
+def pad(text):
+    return st.sampled_from([text, text, f" {text}", f"{text} "])
+
+
+@st.composite
+def valid_panel_rows(draw):
+    """Rows of a valid panel plus duplicates, re-affirmations and withdrawals."""
+    rows = []
+    for bank in draw(st.lists(st.sampled_from(BANKS), min_size=1, max_size=3, unique=True)):
+        days = sorted(draw(st.lists(st.sampled_from(GOOD_DATES), min_size=1, max_size=5, unique=True)))
+        labels = [draw(st.sampled_from(VALID_LABELS[:-1])) for _ in days]
+        rows += list(zip([bank] * len(days), days, labels))
+        for day, label in zip(days, labels):
+            if draw(st.booleans()):  # exact duplicate or a later re-affirmation
+                rows.append((bank, day + dt.timedelta(days=draw(st.sampled_from([0, 1]))), label))
+        if draw(st.booleans()):
+            wr_day = days[-1] + dt.timedelta(days=draw(st.integers(1, 5)))
+            rows.append((bank, wr_day, "WR"))
+            if draw(st.integers(0, 4)) == 0:  # a row after the withdrawal
+                rows.append((bank, wr_day + dt.timedelta(days=draw(st.integers(0, 2))), "C"))
+        spoiler = draw(st.integers(0, 9))
+        if spoiler == 0:  # same-day conflict
+            rows.append((bank, days[-1], "A-" if labels[-1] != "A-" else "B"))
+        elif spoiler == 1:  # withdrawal before the first rating
+            rows.append((bank, days[0] - dt.timedelta(days=draw(st.integers(0, 3))), "WR"))
+    rows = draw(st.permutations(rows))
+    return [
+        ",".join([draw(pad(b)), draw(date_texts(d)), draw(pad(lab))]) for b, d, lab in rows
+    ]
+
+
+@st.composite
+def messy_rows(draw):
+    """Rows mixing bad labels, odd dates, blank lines and wrong field counts."""
+    field_row = st.builds(
+        lambda b, d, lab: ",".join([b, d, lab]),
+        st.sampled_from(BANKS).flatmap(pad),
+        st.one_of(st.sampled_from(GOOD_DATES).flatmap(date_texts), st.sampled_from(ODD_DATES)),
+        st.sampled_from(VALID_LABELS * 2 + ODD_LABELS).flatmap(pad),
+    )
+    odd_row = st.sampled_from(["", "", "", "b1,2008-01-01", "b1,2008-01-01,B,x", "b1", '""'])
+    return draw(st.lists(st.one_of([field_row] * 8 + [odd_row]), max_size=30))
+
+
+@st.composite
+def event_csv(draw):
+    header = draw(st.sampled_from(["bank_id,date,rating"] * 6 + [" bank_id, date ,rating", "bank,date,rating", None]))
+    if header is None:
+        return ""
+    rows = draw(st.one_of(valid_panel_rows(), messy_rows()))
+    return "\n".join([header] + rows) + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+
+span_ends = st.tuples(
+    st.sampled_from([None] * 3 + [DAY0 - dt.timedelta(days=5), DAY0, DAY0 + dt.timedelta(days=9)]),
+    st.sampled_from([None] * 3 + [D(2008, 3, 1), DAY0 + dt.timedelta(days=20), DAY0 - dt.timedelta(days=3)]),
+)
+
+
+H = "bank_id,date,rating\n"
+
+
+@pytest.mark.parametrize(
+    "text, ends, message",
+    [
+        # within a row: label, then date, then span
+        (H + "b1,NaT,Z+\n", SPAN, "row 2: unknown rating label 'Z+'"),
+        (H + "b1,2001-01-01,Z+\n", SPAN, "row 2: unknown rating label 'Z+'"),
+        (H + "b1,2008-01,B\n", SPAN, "row 2: invalid ISO date '2008-01'"),
+        # rows before banks, banks in order of first appearance
+        (H + "b2,2007-01-01,B\nb2,2007-01-01,C\nb1,2007-01-01,Z+\n", SPAN,
+         "row 4: unknown rating label 'Z+'"),
+        (H + "b2,2007-02-01,WR\nb1,2007-01-01,B\nb1,2007-01-01,C\n", SPAN,
+         "row 2: bank 'b2': withdrawal without a prior rating"),
+        # within a bank, a conflict wins over an earlier withdrawal error
+        (H + "b1,2007-01-01,WR\nb1,2007-03-01,B\nb1,2007-03-01,C\n", SPAN,
+         "row 4: bank 'b1': conflicting labels 'B' and 'C' on 2007-03-01"),
+        # an inferred span reads dates and widths first, whatever the labels
+        (H + "b1,2007-01-01,Z+\nb1,NaT,B\n", (None, None), "row 3: invalid ISO date 'NaT'"),
+        (H + "b1,2007-01-01,Z+\n\nb1,2007\n", (None, D(2008, 1, 1)), "row 4: expected 3 fields, got 2"),
+    ],
+)
+def test_error_precedence(text, ends, message):
+    with pytest.raises(DataFormatError) as got:
+        rl.parse_panel(io.StringIO(text), ends)
+    assert str(got.value) == message
+
+
+@settings(max_examples=400)
+@given(event_csv(), span_ends)
+def test_parse_panel_matches_row_by_row_oracle(text, ends):
+    try:
+        events, span = oracles.load_events(text, *ends)
+    except oracles.OracleFormatError as exc:
+        with pytest.raises(DataFormatError) as got:
+            rl.parse_panel(io.StringIO(text), ends)
+        assert str(got.value) == str(exc)
+        return
+    except oracles.OracleSpanError as exc:
+        with pytest.raises(rl.SpanError) as got:
+            rl.parse_panel(io.StringIO(text), ends)
+        assert (got.value.start, got.value.end) == (exc.start, exc.end)
+        return
+    panel = rl.parse_panel(io.StringIO(text), ends)
+    start = span[0]
+    assert panel.span == span
+    assert panel.bank_ids == tuple(bank for bank, _, _ in events)
+    assert panel.offsets.tolist() == np.cumsum([0] + [len(e) for _, e, _ in events]).tolist()
+    assert panel.event_day.tolist() == [(d - start).days for _, e, _ in events for d, _ in e]
+    assert panel.event_state.tolist() == [s for _, e, _ in events for _, s in e]
+    assert panel.coverage_end.tolist() == [(c - start).days for _, _, c in events]
+
+
+@settings(max_examples=200)
+@given(event_csv())
+def test_infer_span_matches_row_by_row_oracle(text):
+    try:
+        want = oracles.infer_span(text)
+    except oracles.OracleFormatError as exc:
+        with pytest.raises(DataFormatError) as got:
+            rl.infer_span(io.StringIO(text))
+        assert str(got.value) == str(exc)
+        return
+    assert rl.infer_span(io.StringIO(text)) == want
