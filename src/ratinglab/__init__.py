@@ -48,7 +48,7 @@ from .ingest import (
     write_count_series_csv,
     write_panel_csv,
 )
-from .panel import Increment, Panel, RatingEvent, RatingHistory
+from .panel import Panel
 from .scale import N_STATES, RATING_LABELS, WITHDRAWN_LABEL, decode, encode
 from .simulator import (
     Excitation,
@@ -70,9 +70,6 @@ __all__ = [
     "WITHDRAWN_LABEL",
     "encode",
     "decode",
-    "RatingEvent",
-    "RatingHistory",
-    "Increment",
     "Panel",
     "RatingLabError",
     "DataFormatError",

@@ -89,15 +89,15 @@ def increment_histogram(panel: Panel, t: dt.date, tau: int = 365) -> Histogram:
 
     Banks lacking a rating at either endpoint are excluded.
     """
-    values = _increment_sample(panel, t, tau)
+    values = _increment_sample(panel, t, tau, panel.states_at(t))
     counts = np.bincount(values + (N_STATES - 1), minlength=2 * N_STATES - 1)
     return Histogram(bin_labels=INCREMENT_BINS, counts=tuple(int(c) for c in counts))
 
 
-def _increment_sample(panel: Panel, t: dt.date, tau: int) -> np.ndarray:
+def _increment_sample(panel: Panel, t: dt.date, tau: int, now: np.ndarray) -> np.ndarray:
+    """``R(t) - R(t - tau)`` of the banks rated on both days; ``now`` is ``R(t)``."""
     if tau < 1:
         raise ValueError(f"tau must be >= 1 day, got {tau}")
-    now = panel.states_at(t)
     then = panel.states_at(t - dt.timedelta(days=tau))
     both = (now >= 0) & (then >= 0)
     return now[both] - then[both]
@@ -144,7 +144,7 @@ def moment_series(
         states = panel.states_at(day)
         ratings = states[states >= 0]
         r_moments = moments(ratings) if ratings.size else None
-        increments = _increment_sample(panel, day, tau)
+        increments = _increment_sample(panel, day, tau, states)
         t_moments = moments(increments) if increments.size else None
         out.append(MomentPoint(date=day, ratings=r_moments, increments=t_moments))
     return out

@@ -27,6 +27,7 @@ from .dates import add_months, month_starts, years_between
 from .estimation import (
     CountMatrix,
     TransitionMatrix,
+    cohort_matrix,
     count_transitions,
     empirical_transition_matrix,
     estimate_generator,
@@ -136,9 +137,10 @@ def ck_deviation(panel: Panel, t0: dt.date, tf: dt.date) -> float:
     if days < 2:
         raise ValueError(f"window must span at least 2 days, got {days}")
     tm = t0 + dt.timedelta(days=days // 2)
-    full = empirical_transition_matrix(panel, t0, tf)
-    first = empirical_transition_matrix(panel, t0, tm)
-    second = empirical_transition_matrix(panel, tm, tf)
+    s0, sm, sf = (panel.states_at(t) for t in (t0, tm, tf))
+    full = cohort_matrix(s0, sf, (t0, tf))
+    first = cohort_matrix(s0, sm, (t0, tm))
+    second = cohort_matrix(sm, sf, (tm, tf))
     return l2_norm(full.entries - first.entries @ second.entries)
 
 

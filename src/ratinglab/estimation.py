@@ -145,10 +145,10 @@ def count_transitions(panel: Panel, t0: dt.date, tf: dt.date) -> CountMatrix:
     _check_window((t0, tf))
     a = panel.day_offset(t0)
     b = panel.day_offset(tf)
-    off, src, dst = panel._transition_arrays
-    lo = np.searchsorted(off, a, side="right")
-    hi = np.searchsorted(off, b, side="right")
-    pair = src[lo:hi] * N_STATES + dst[lo:hi]
+    idx = panel.transitions()
+    day = panel.event_day[idx]
+    idx = idx[(day > a) & (day <= b)]
+    pair = panel.event_state[idx - 1] * N_STATES + panel.event_state[idx]
     counts = np.bincount(pair, minlength=N_STATES * N_STATES).reshape(N_STATES, N_STATES)
     return CountMatrix(window=(t0, tf), counts=counts)
 
@@ -162,10 +162,9 @@ def exposures(panel: Panel, t0: dt.date, tf: dt.date) -> ExposureVector:
     _check_window((t0, tf))
     a = panel.day_offset(t0)
     b = panel.day_offset(tf)
-    states, seg_a, seg_b = panel._segment_arrays
-    days = np.minimum(seg_b, b) - np.maximum(seg_a, a)
+    days = np.minimum(panel.segment_ends(), b) - np.maximum(panel.event_day, a)
     np.clip(days, 0, None, out=days)
-    bank_days = np.bincount(states, weights=days.astype(np.float64), minlength=N_STATES)
+    bank_days = np.bincount(panel.event_state, days.astype(np.float64), minlength=N_STATES)
     return ExposureVector(window=(t0, tf), exposure=bank_days / DAYS_PER_YEAR)
 
 
@@ -211,16 +210,19 @@ def empirical_transition_matrix(panel: Panel, t0: dt.date, tf: dt.date) -> Trans
     cohort are identity rows, keeping the matrix stochastic.
     """
     _check_window((t0, tf))
-    start_states = panel.states_at(t0)
-    end_states = panel.states_at(tf)
-    both = (start_states >= 0) & (end_states >= 0)
-    pair = start_states[both] * N_STATES + end_states[both]
+    return cohort_matrix(panel.states_at(t0), panel.states_at(tf), (t0, tf))
+
+
+def cohort_matrix(start: np.ndarray, end: np.ndarray, window: Window) -> TransitionMatrix:
+    """Cohort matrix from the cross-sections on a window's two ends (-1: unrated)."""
+    both = (start >= 0) & (end >= 0)
+    pair = start[both] * N_STATES + end[both]
     counts = np.bincount(pair, minlength=N_STATES * N_STATES).reshape(N_STATES, N_STATES)
     totals = counts.sum(axis=1)
     m = np.eye(N_STATES, dtype=np.float64)
     occupied = totals > 0
     m[occupied] = counts[occupied] / totals[occupied, None]
-    return TransitionMatrix(entries=m, window=(t0, tf))
+    return TransitionMatrix(entries=m, window=window)
 
 
 def write_matrix_csv(

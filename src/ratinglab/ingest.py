@@ -19,7 +19,7 @@ import bisect
 import csv
 import datetime as dt
 from pathlib import Path
-from typing import IO, Iterable, Optional, Union
+from typing import IO, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -45,6 +45,20 @@ _LABEL_CODE = {label: state for state, label in enumerate(RATING_LABELS)}
 _LABEL_CODE[WITHDRAWN_LABEL] = WITHDRAWN = N_STATES
 
 
+def _records(stream) -> Iterator[list[str]]:
+    """The CSV records of ``stream``, header included.
+
+    A record the csv module rejects, such as one with a field over its
+    size limit, raises :class:`DataFormatError` naming its row.
+    """
+    row = 0
+    try:
+        for row, record in enumerate(csv.reader(stream), 1):
+            yield record
+    except csv.Error as exc:
+        raise DataFormatError(str(exc), row=row + 1) from None
+
+
 class _EventColumns:
     """One event CSV as code columns, from a single streaming read.
 
@@ -58,7 +72,7 @@ class _EventColumns:
         self.blanks: list[int] = []  # data rows read before each blank line
         self.bad_width: Optional[tuple[int, int]] = None  # (row, field count)
         with text_stream(source) as stream:
-            reader = csv.reader(stream)
+            reader = _records(stream)
             header = next(reader, None)
             self.empty = header is None  # not even a header line
             if header is not None and tuple(h.strip() for h in header) != HEADER:
@@ -193,7 +207,7 @@ class _EventColumns:
         coverage_end = np.full(n_banks, hi - lo, dtype=np.int64)
         coverage_end[ranked[withdrawn]] = day[withdrawn] - 1
         counts = np.bincount(ranked[keep], minlength=n_banks)
-        return Panel._from_arrays(
+        return Panel(
             sorted(self.bank_ids),
             np.concatenate([[0], np.cumsum(counts)]),
             day[keep],
@@ -264,7 +278,7 @@ def daily_counts(panel: Panel) -> list[tuple[dt.date, int]]:
     An empty panel therefore yields an empty series rather than a run
     of zero rows.
     """
-    totals = panel.daily_state_counts.sum(axis=1)
+    totals = panel.daily_state_counts().sum(axis=1)
     start = panel.span[0]
     return [
         (start + dt.timedelta(days=i), int(v)) for i, v in enumerate(totals) if v > 0
@@ -282,9 +296,8 @@ def transitions_per_bank(panel: Panel, window: int = 365) -> list[tuple[dt.date,
     if window < 1:
         raise ValueError(f"window must be >= 1 day, got {window}")
     n = panel.n_days
-    daily_total = panel.daily_state_counts.sum(axis=1).astype(np.float64)
-    tr_off, _, _ = panel._transition_arrays
-    daily_tr = np.bincount(tr_off, minlength=n).astype(np.float64)
+    daily_total = panel.daily_state_counts().sum(axis=1).astype(np.float64)
+    daily_tr = np.bincount(panel.event_day[panel.transitions()], minlength=n).astype(np.float64)
 
     cum_tr = np.concatenate([[0.0], np.cumsum(daily_tr)])
     cum_nr = np.concatenate([[0.0], np.cumsum(daily_total)])

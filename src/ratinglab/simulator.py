@@ -6,9 +6,9 @@ Three scenario kinds:
   null model both diagnostics should accept.
 * ``regime_switch`` -- a piecewise-constant generator schedule; the
   minimal violation of time-homogeneity.
-* ``excited`` -- after any downgrade, a bank's downward rates are
-  multiplied by ``gamma`` for ``memory_days`` days; the minimal
-  violation of the Markov property.
+* ``excited`` -- after each of its own downgrades, a bank's downward
+  rates are multiplied by ``gamma`` for ``memory_days`` days; the
+  minimal violation of the Markov property.
 
 Banks are independent and each consumes its own random stream derived
 from ``(seed, bank_index)``, so panels are reproducible regardless of
@@ -72,8 +72,8 @@ class Excitation:
     memory_days: int
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if self.memory_days < 1:
             raise ValueError(f"memory_days must be >= 1, got {self.memory_days}")
 
@@ -135,8 +135,8 @@ def random_generator(seed: int, rate_scale: float) -> GeneratorMatrix:
     exit rates vary around ``rate_scale`` and are split across the
     reachable +-1 / +-2 neighbors, two-notch moves carrying less mass.
     """
-    if not rate_scale > 0:
-        raise ValueError(f"rate_scale must be positive, got {rate_scale}")
+    if not 0 < rate_scale < math.inf:
+        raise ValueError(f"rate_scale must be positive and finite, got {rate_scale}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     base = np.zeros((N_STATES, N_STATES))
     for i in range(N_STATES):
@@ -285,7 +285,7 @@ def simulate(scenario: Scenario) -> Panel:
         offsets.append(len(days))
     # Zero-padded to one width, the ids sort in index order.
     width = max(len(str(max(scenario.n_banks - 1, 0))), 4)
-    return Panel._from_arrays(
+    return Panel(
         [f"B{k:0{width}d}" for k in range(scenario.n_banks)],
         offsets,
         days,
@@ -378,6 +378,8 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
             else:
                 switch = start + dt.timedelta(days=(end - start).days // 2)
             multiplier = float(mapping.get("switch_multiplier", "3"))
+            if not 0 <= multiplier < math.inf:
+                raise ValueError(f"switch_multiplier must be finite and >= 0, got {multiplier}")
             switched = GeneratorMatrix(entries=multiplier * base.entries)
             generators = ((start, base), (switch, switched))
         else:

@@ -1,4 +1,5 @@
 import datetime as dt
+import io
 import time
 
 import numpy as np
@@ -16,27 +17,31 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
-def make_history(bank_id, events, coverage_end=None):
-    evs = tuple(rl.RatingEvent(date=d, state=s) for d, s in events)
-    if coverage_end is None:
-        coverage_end = evs[-1].date
-    return rl.RatingHistory(bank_id=bank_id, events=evs, coverage_end=coverage_end)
-
-
 def make_panel(span, specs):
-    """specs: list of (bank_id, [(date, state), ...], coverage_end-or-None)."""
-    histories = []
+    """Panel parsed from CSV text written out of plain specs.
+
+    specs: list of (bank_id, [(date, state), ...], coverage_end-or-None);
+    a coverage end before the span end becomes a ``WR`` row on the next
+    day, and None means rated through the span end.
+    """
+    rows = ["bank_id,date,rating"]
     for bank_id, events, cov in specs:
-        histories.append(make_history(bank_id, events, cov if cov is not None else span[1]))
-    return rl.Panel(histories, span)
+        rows += [f"{bank_id},{d.isoformat()},{rl.RATING_LABELS[s]}" for d, s in events]
+        if cov is not None and cov < span[1]:
+            rows.append(f"{bank_id},{cov + dt.timedelta(days=1)},{rl.WITHDRAWN_LABEL}")
+    return rl.parse_panel(io.StringIO("\n".join(rows) + "\n"), span)
 
 
 def raw_histories(panel):
-    """Plain (events, coverage_end) pairs for the oracle helpers."""
-    return [
-        ([(e.date, e.state) for e in h.events], h.coverage_end)
-        for h in panel.histories
-    ]
+    """Plain (events, coverage_end) pairs per bank, read off the panel's arrays."""
+    start = panel.span[0]
+    day = lambda offset: start + dt.timedelta(days=int(offset))
+    out = []
+    for k in range(panel.n_banks):
+        a, b = panel.offsets[k], panel.offsets[k + 1]
+        events = [(day(d), int(s)) for d, s in zip(panel.event_day[a:b], panel.event_state[a:b])]
+        out.append((events, day(panel.coverage_end[k])))
+    return out
 
 
 @pytest.fixture(scope="session")

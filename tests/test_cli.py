@@ -247,6 +247,17 @@ def test_non_utf8_input_is_data_error(tmp_path, capsys):
     assert err.startswith("ratinglab: error: input is not UTF-8 text") and err.count("\n") == 1
 
 
+def test_oversized_field_is_data_error(tmp_path, capsys):
+    # the csv module rejects fields over 131,072 characters
+    big = tmp_path / "big.csv"
+    big.write_text("bank_id,date,rating\nb1,2007-01-01," + "A" * 200_000 + "\n", encoding="utf-8")
+    code = run("counts", "--input", str(big), "--output", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ratinglab: error: row 2: field larger than field limit")
+    assert err.count("\n") == 1
+
+
 def test_records_outside_declared_span_are_data_errors(tmp_path, capsys):
     # --from/--to declare the span; clipping is never silent
     panel_csv = write_panel(tmp_path)  # three-year panel
@@ -358,6 +369,29 @@ def test_simulate_bad_scenario_is_data_error(tmp_path, capsys):
     )
     assert code == 2
     assert "missing scenario keys" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+@pytest.mark.parametrize(
+    "kind, value",
+    [
+        ("excited", "gamma = inf"),
+        ("homogeneous", "rate_scale = inf"),
+        ("regime_switch", "switch_multiplier = inf"),
+    ],
+)
+def test_simulate_non_finite_scenario_value_is_data_error(tmp_path, capsys, kind, value):
+    # each value is rejected while the scenario loads, before any drawing
+    text = f"kind = {kind}\nn_banks = 3\nstart = 2007-01-01\nend = 2008-01-01\nseed = 1\n"
+    if not value.startswith("rate_scale"):
+        text += "rate_scale = 5\n"
+    scen_path = tmp_path / "scen.txt"
+    scen_path.write_text(text + value + "\n", encoding="utf-8")
+    out = tmp_path / "x.csv"
+    assert run("simulate", "--scenario", str(scen_path), "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ratinglab: error: invalid scenario: ") and err.count("\n") == 1
+    assert "must be" in err and not out.exists()
 
 
 def test_excited_scenario_feeds_ck_pipeline(tmp_path):

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import ratinglab as rl
 from ratinglab.dates import month_starts
-from oracles import two_pass_moments
+from oracles import state_on, two_pass_moments
 
-from conftest import make_panel
+from conftest import make_panel, raw_histories
 
 D = dt.date
 
@@ -33,7 +33,7 @@ def test_rating_histogram_point_mass():
 
 
 def test_rating_histogram_empty_panel():
-    p = rl.Panel([], (D(2007, 1, 1), D(2008, 1, 1)))
+    p = make_panel((D(2007, 1, 1), D(2008, 1, 1)), [])
     h = rl.rating_histogram(p, D(2007, 6, 1))
     assert all(c == 0 for c in h.counts)
     assert h.total == 0
@@ -52,16 +52,15 @@ def test_rating_histogram_hand_tally():
 
 def test_rating_histogram_total_equals_count_rated():
     span = (D(2007, 1, 1), D(2008, 1, 1))
-    p = make_panel(
-        span,
-        [
-            ("b1", [(span[0], 4)], D(2007, 3, 1)),
-            ("b2", [(D(2007, 6, 1), 9)], None),
-        ],
-    )
+    specs = [
+        ("b1", [(span[0], 4)], D(2007, 3, 1)),
+        ("b2", [(D(2007, 6, 1), 9)], span[1]),
+    ]
+    p = make_panel(span, specs)
     for off in (0, 90, 200):
         t = span[0] + dt.timedelta(days=off)
-        assert rl.rating_histogram(p, t).total == p.count_rated(t)
+        rated = sum(state_on(events, cov, t) is not None for _, events, cov in specs)
+        assert rl.rating_histogram(p, t).total == rated
 
 
 def test_increment_histogram_static_panel():
@@ -203,20 +202,19 @@ def test_moment_series_matches_naive_recomputation(homogeneous_panel):
     panel, _ = homogeneous_panel
     series = rl.moment_series(panel, tau=365)
     assert [pt.date for pt in series] == month_starts(*panel.span)
+    histories = raw_histories(panel)
     for pt in series[::7]:
-        states = [
-            h.rating_at(pt.date)
-            for h in panel.histories
-            if h.rating_at(pt.date) is not None
-        ]
+        then = pt.date - dt.timedelta(days=365)
+        states, incs = [], []
+        for events, cov in histories:
+            now, before = state_on(events, cov, pt.date), state_on(events, cov, then)
+            if now is not None:
+                states.append(now)
+                if before is not None:
+                    incs.append(now - before)
         want_r = rl.moments(states)
         assert pt.ratings.mean == pytest.approx(want_r.mean, rel=1e-12)
         assert pt.ratings.variance == pytest.approx(want_r.variance, rel=1e-12)
-        incs = []
-        for h in panel.histories:
-            inc = h.increment(pt.date, 365)
-            if inc is not None:
-                incs.append(inc.value)
         if not incs:
             assert pt.increments is None
         else:

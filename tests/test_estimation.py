@@ -94,7 +94,7 @@ def test_exposure_split_window():
 
 
 def test_exposure_empty_panel():
-    p = rl.Panel([], SPAN)
+    p = make_panel(SPAN, [])
     ev = rl.exposures(p, D(2007, 2, 1), D(2008, 2, 1))
     assert np.all(ev.exposure == 0.0)
 

@@ -12,7 +12,7 @@ import oracles
 import ratinglab as rl
 from ratinglab import DataFormatError
 
-from conftest import make_panel
+from conftest import make_panel, raw_histories
 
 D = dt.date
 SPAN = (D(2007, 1, 1), D(2010, 12, 31))
@@ -28,20 +28,14 @@ def parse(text, span=SPAN):
 def test_parse_two_rows_one_transition():
     p = parse("bank_id,date,rating\nb1,2007-01-01,A+\nb1,2008-01-01,A\n")
     assert p.n_banks == 1
-    h = p.history("b1")
-    assert [(e.date, e.state) for e in h.events] == [
-        (D(2007, 1, 1), 14),
-        (D(2008, 1, 1), 13),
-    ]
-    assert h.transition_count() == 1
-    assert h.coverage == (D(2007, 1, 1), SPAN[1])
+    assert raw_histories(p) == [([(D(2007, 1, 1), 14), (D(2008, 1, 1), 13)], SPAN[1])]
+    assert p.transitions().size == 1
 
 
 def test_parse_reaffirmation_collapsed():
     p = parse("bank_id,date,rating\nb1,2007-03-01,B\nb1,2007-03-02,B\n")
-    h = p.history("b1")
-    assert len(h.events) == 1
-    assert h.transition_count() == 0
+    assert p.offsets.tolist() == [0, 1]
+    assert p.transitions().size == 0
 
 
 def test_parse_unknown_label():
@@ -61,15 +55,14 @@ def test_parse_conflicting_same_day_labels():
 
 def test_parse_same_day_duplicate_rows_collapse():
     p = parse("bank_id,date,rating\nb1,2007-03-01,B\nb1,2007-03-01,B\n")
-    assert len(p.history("b1").events) == 1
+    assert p.offsets.tolist() == [0, 1]
 
 
 def test_parse_withdrawal_closes_coverage():
     p = parse("bank_id,date,rating\nb1,2007-01-01,C\nb1,2007-06-01,WR\n")
-    h = p.history("b1")
-    assert h.coverage_end == D(2007, 5, 31)
-    assert h.rating_at(D(2007, 5, 31)) == 7
-    assert h.rating_at(D(2007, 6, 1)) is None
+    assert raw_histories(p) == [([(D(2007, 1, 1), 7)], D(2007, 5, 31))]
+    assert p.states_at(D(2007, 5, 31)).tolist() == [7]
+    assert p.states_at(D(2007, 6, 1)).tolist() == [-1]
 
 
 def test_parse_event_after_withdrawal_rejected():
@@ -169,9 +162,10 @@ def test_round_trip(panel):
 
 @given(panel_text())
 def test_total_transitions_is_sum_of_state_changes(panel):
-    assert panel.total_transitions() == sum(
-        h.transition_count() for h in panel.histories
-    )
+    changes = sum(len(events) - 1 for events, _ in raw_histories(panel))
+    assert panel.transitions().size == changes
+    # no bank changes state on its first day, so (start, end] holds them all
+    assert rl.count_transitions(panel, *panel.span).total == changes
 
 
 def test_round_trip_emits_withdrawal_rows():
@@ -213,7 +207,7 @@ def test_daily_counts_omits_unrated_days():
     p = make_panel(span, [("b1", [(D(2007, 2, 1), 5)], None)])
     series = rl.daily_counts(p)
     assert series[0][0] == D(2007, 2, 1)
-    assert rl.daily_counts(rl.Panel([], span)) == []
+    assert rl.daily_counts(make_panel(span, [])) == []
 
 
 def test_daily_counts_growth_fixture():

@@ -1,4 +1,5 @@
 import datetime as dt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,90 +9,97 @@ from hypothesis import strategies as st
 import ratinglab as rl
 from oracles import state_on
 
-from conftest import make_history, make_panel
+from conftest import make_panel
 
 D = dt.date
 SPAN = (D(2006, 1, 1), D(2012, 12, 31))
+GOLDEN_PANEL = Path(__file__).parent / "data" / "golden_panel.csv"
 
 
-# -- RatingHistory ----------------------------------------------------
+def one_bank(events, coverage_end=None):
+    return make_panel(SPAN, [("b1", events, coverage_end)])
+
+
+def rating(panel, t):
+    """State of a one-bank panel on day ``t``; None when unrated."""
+    s = int(panel.states_at(t)[0])
+    return None if s < 0 else s
+
+
+def increment(panel, t, tau):
+    """``R(t) - R(t - tau)`` of a one-bank panel; None if an end is unrated."""
+    h = rl.increment_histogram(panel, t, tau)
+    if h.total == 0:
+        return None
+    return h.bin_labels[h.counts.index(1)]
+
+
+def count_rated(panel, t):
+    return int(np.count_nonzero(panel.states_at(t) >= 0))
+
+
+# -- one bank's rating and increments ---------------------------------
 
 
 def test_rating_at_constant_history():
-    h = make_history("b1", [(D(2007, 1, 1), 14)], coverage_end=D(2010, 1, 1))
-    assert h.rating_at(D(2008, 6, 1)) == 14
+    p = one_bank([(D(2007, 1, 1), 14)], coverage_end=D(2010, 1, 1))
+    assert rating(p, D(2008, 6, 1)) == 14
 
 
 def test_rating_at_before_coverage():
-    h = make_history("b1", [(D(2007, 1, 1), 14)], coverage_end=D(2010, 1, 1))
-    assert h.rating_at(D(2006, 12, 31)) is None
+    p = one_bank([(D(2007, 1, 1), 14)], coverage_end=D(2010, 1, 1))
+    assert rating(p, D(2006, 12, 31)) is None
+    assert rating(p, D(2007, 1, 1)) == 14
 
 
 def test_rating_at_holds_last_value():
-    h = make_history("b1", [(D(2007, 1, 1), 5), (D(2007, 6, 1), 3)])
-    assert h.rating_at(D(2007, 3, 15)) == 5
-    assert h.rating_at(D(2007, 6, 1)) == 3
+    p = one_bank([(D(2007, 1, 1), 5), (D(2007, 6, 1), 3)])
+    assert rating(p, D(2007, 3, 15)) == 5
+    assert rating(p, D(2007, 6, 1)) == 3
+    assert rating(p, D(2012, 12, 31)) == 3
 
 
 def test_rating_at_after_withdrawal():
-    h = make_history("b1", [(D(2007, 1, 1), 5)], coverage_end=D(2007, 12, 31))
-    assert h.rating_at(D(2008, 1, 1)) is None
+    p = one_bank([(D(2007, 1, 1), 5)], coverage_end=D(2007, 12, 31))
+    assert rating(p, D(2007, 12, 31)) == 5
+    assert rating(p, D(2008, 1, 1)) is None
 
 
 def test_increment_downgrade_sign():
-    h = make_history("b1", [(D(2007, 1, 1), 12), (D(2007, 9, 1), 10)], D(2009, 1, 1))
-    inc = h.increment(D(2008, 1, 1), tau=365)
-    assert inc.value == -2  # downgrade is negative
-    assert inc.bank_id == "b1"
-    assert inc.tau == 365
+    p = one_bank([(D(2007, 1, 1), 12), (D(2007, 9, 1), 10)], D(2009, 1, 1))
+    assert increment(p, D(2008, 1, 1), tau=365) == -2  # downgrade is negative
 
 
 def test_increment_no_change():
-    h = make_history("b1", [(D(2007, 1, 1), 7)], coverage_end=D(2009, 1, 1))
-    assert h.increment(D(2008, 6, 1), tau=365).value == 0
+    p = one_bank([(D(2007, 1, 1), 7)], coverage_end=D(2009, 1, 1))
+    assert increment(p, D(2008, 6, 1), tau=365) == 0
 
 
 def test_increment_left_endpoint_unrated():
     t = D(2008, 1, 1)
-    h = make_history("b1", [(t - dt.timedelta(days=100), 7)], coverage_end=D(2009, 1, 1))
-    assert h.increment(t, tau=365) is None
+    p = one_bank([(t - dt.timedelta(days=100), 7)], coverage_end=D(2009, 1, 1))
+    assert increment(p, t, tau=365) is None
+    assert increment(p, t, tau=100) == 0
 
 
 def test_increment_rejects_nonpositive_tau():
-    h = make_history("b1", [(D(2007, 1, 1), 7)])
+    p = one_bank([(D(2007, 1, 1), 7)])
     with pytest.raises(ValueError):
-        h.increment(D(2007, 1, 1), tau=0)
+        increment(p, D(2007, 1, 1), tau=0)
     with pytest.raises(ValueError):
-        h.increment(D(2007, 1, 1), tau=-5)
+        increment(p, D(2007, 1, 1), tau=-5)
 
 
 def test_increment_default_tau_is_one_year():
-    h = make_history("b1", [(D(2007, 1, 1), 3), (D(2007, 8, 1), 6)], D(2010, 1, 1))
-    assert h.increment(D(2008, 2, 1)).tau == 365
+    p = one_bank([(D(2007, 1, 1), 3), (D(2007, 8, 1), 6)], D(2010, 1, 1))
+    h = rl.increment_histogram(p, D(2008, 2, 1))
+    assert h.counts[h.bin_labels.index(3)] == h.total == 1
+    assert increment(p, D(2008, 2, 1), tau=100) == 0
 
 
 def test_transition_count():
-    h = make_history("b1", [(D(2007, 1, 1), 3), (D(2007, 8, 1), 6), (D(2008, 1, 1), 5)])
-    assert h.transition_count() == 2
-
-
-def test_history_validation():
-    e1 = rl.RatingEvent(D(2007, 1, 1), 3)
-    with pytest.raises(ValueError):
-        rl.RatingHistory("b", (), D(2008, 1, 1))
-    with pytest.raises(ValueError):  # dates not strictly increasing
-        rl.RatingHistory("b", (e1, rl.RatingEvent(D(2007, 1, 1), 4)), D(2008, 1, 1))
-    with pytest.raises(ValueError):  # consecutive repeat state
-        rl.RatingHistory("b", (e1, rl.RatingEvent(D(2007, 2, 1), 3)), D(2008, 1, 1))
-    with pytest.raises(ValueError):  # coverage ends before last event
-        rl.RatingHistory("b", (e1,), D(2006, 12, 1))
-
-
-def test_event_state_bounds():
-    with pytest.raises(ValueError):
-        rl.RatingEvent(D(2007, 1, 1), 15)
-    with pytest.raises(ValueError):
-        rl.RatingEvent(D(2007, 1, 1), -1)
+    p = one_bank([(D(2007, 1, 1), 3), (D(2007, 8, 1), 6), (D(2008, 1, 1), 5)])
+    assert p.transitions().tolist() == [1, 2]
 
 
 # random step histories for the property tests
@@ -116,133 +124,150 @@ def history_strategy(draw):
 @given(history_strategy(), st.integers(0, 2700))
 def test_rating_at_matches_linear_scan(case, off):
     events, cov = case
-    h = make_history("b", events, cov)
     t = SPAN[0] + dt.timedelta(days=off)
-    assert h.rating_at(t) == state_on(events, cov, t)
+    assert rating(one_bank(events, cov), t) == state_on(events, cov, t)
 
 
 @given(history_strategy(), st.integers(0, 2500), st.integers(1, 400), st.integers(1, 400))
 def test_increment_telescopes(case, off, tau1, tau2):
     events, cov = case
-    h = make_history("b", events, cov)
+    p = one_bank(events, cov)
     t = SPAN[0] + dt.timedelta(days=off)
-    whole = h.increment(t, tau1 + tau2)
-    right = h.increment(t, tau2)
-    left = h.increment(t - dt.timedelta(days=tau2), tau1)
+    whole = increment(p, t, tau1 + tau2)
+    right = increment(p, t, tau2)
+    left = increment(p, t - dt.timedelta(days=tau2), tau1)
     if whole is not None and right is not None and left is not None:
-        assert whole.value == left.value + right.value
+        assert whole == left + right
 
 
 # -- Panel ------------------------------------------------------------
 
-
-def three_bank_panel():
-    t0 = D(2007, 1, 1)
-    return make_panel(
-        (t0, D(2008, 1, 1)),
-        [
-            ("b1", [(t0, 14)], None),
-            ("b2", [(t0, 7), (D(2007, 5, 1), 8)], None),
-            ("b3", [(t0 + dt.timedelta(days=10), 0)], None),
-        ],
-    )
+T0 = D(2007, 1, 1)
+THREE_SPAN = (T0, D(2008, 1, 1))
+THREE_BANKS = [
+    ("b1", [(T0, 14)], None),
+    ("b2", [(T0, 7), (D(2007, 5, 1), 8)], None),
+    ("b3", [(T0 + dt.timedelta(days=10), 0)], None),
+]
 
 
 def test_count_rated_empty_panel():
-    p = rl.Panel([], (D(2007, 1, 1), D(2008, 1, 1)))
-    assert p.count_rated(D(2007, 6, 1)) == 0
+    p = make_panel(THREE_SPAN, [])
+    assert count_rated(p, D(2007, 6, 1)) == 0
 
 
 def test_count_rated_all_rated_from_start():
-    t0 = D(2007, 1, 1)
     p = make_panel(
-        (t0, D(2008, 1, 1)),
-        [("b1", [(t0, 3)], None), ("b2", [(t0, 5)], None), ("b3", [(t0, 9)], None)],
+        THREE_SPAN,
+        [("b1", [(T0, 3)], None), ("b2", [(T0, 5)], None), ("b3", [(T0, 9)], None)],
     )
     for off in (0, 100, 365):
-        assert p.count_rated(t0 + dt.timedelta(days=off)) == 3
+        assert count_rated(p, T0 + dt.timedelta(days=off)) == 3
 
 
 def test_count_rated_staggered_entry():
-    p = three_bank_panel()
-    t0 = p.span[0]
-    assert p.count_rated(t0) == 2
-    assert p.count_rated(t0 + dt.timedelta(days=10)) == 3
+    p = make_panel(THREE_SPAN, THREE_BANKS)
+    assert count_rated(p, T0) == 2
+    assert count_rated(p, T0 + dt.timedelta(days=10)) == 3
 
 
 def test_count_rated_outside_span():
-    p = three_bank_panel()
+    p = make_panel(THREE_SPAN, THREE_BANKS)
     with pytest.raises(ValueError):
-        p.count_rated(D(2006, 12, 31))
+        p.day_offset(D(2006, 12, 31))
+    assert count_rated(p, D(2006, 12, 31)) == 0
+    assert count_rated(p, D(2008, 1, 2)) == 0
 
 
 def test_count_rated_monotone_under_adding():
-    p = three_bank_panel()
-    extra = make_history("b4", [(p.span[0], 6)], p.span[1])
-    bigger = rl.Panel(list(p.histories) + [extra], p.span)
+    p = make_panel(THREE_SPAN, THREE_BANKS)
+    bigger = make_panel(THREE_SPAN, THREE_BANKS + [("b4", [(T0, 6)], None)])
     for off in (0, 5, 10, 200):
-        t = p.span[0] + dt.timedelta(days=off)
-        assert bigger.count_rated(t) >= p.count_rated(t)
+        t = T0 + dt.timedelta(days=off)
+        assert count_rated(bigger, t) >= count_rated(p, t)
 
 
 def test_panel_rejects_duplicate_ids():
-    t0 = D(2007, 1, 1)
-    h1 = make_history("b1", [(t0, 3)], D(2007, 6, 1))
-    h2 = make_history("b1", [(t0, 5)], D(2007, 6, 1))
-    with pytest.raises(ValueError):
-        rl.Panel([h1, h2], (t0, D(2008, 1, 1)))
+    # rows of one bank id pool into one history, so two clashing
+    # histories under one id are an error, and agreeing ones merge
+    with pytest.raises(rl.DataFormatError, match="conflicting"):
+        make_panel(THREE_SPAN, [("b1", [(T0, 3)], None), ("b1", [(T0, 5)], None)])
+    p = make_panel(THREE_SPAN, [("b1", [(T0, 3)], None), ("b1", [(T0, 3)], None)])
+    assert p.bank_ids == ("b1",)
+    assert p.offsets.tolist() == [0, 1]
 
 
 def test_panel_rejects_coverage_outside_span():
-    t0 = D(2007, 1, 1)
-    h = make_history("b1", [(t0, 3)], D(2009, 1, 1))
-    with pytest.raises(ValueError):
-        rl.Panel([h], (t0, D(2008, 1, 1)))
-    with pytest.raises(ValueError):
-        rl.Panel([h], (D(2007, 6, 1), D(2009, 6, 1)))
+    with pytest.raises(rl.DataFormatError, match="outside span"):
+        make_panel(THREE_SPAN, [("b1", [(T0, 3), (D(2008, 6, 1), 4)], None)])
+    with pytest.raises(rl.DataFormatError, match="outside span"):
+        make_panel((D(2007, 6, 1), D(2009, 6, 1)), [("b1", [(T0, 3)], None)])
+
+
+def test_panel_rejects_reversed_span():
+    with pytest.raises(rl.SpanError):
+        rl.Panel([], [0], [], [], [], (D(2008, 1, 1), D(2007, 1, 1)))
 
 
 def test_panel_lookup_and_sizes():
-    p = three_bank_panel()
+    p = make_panel(THREE_SPAN, THREE_BANKS)
     assert p.n_banks == len(p) == 3
     assert p.bank_ids == ("b1", "b2", "b3")
-    assert p.history("b2").events[1].state == 8
-    assert p.total_transitions() == 1
+    assert p.event_state[p.offsets[1] + 1] == 8  # b2's second event
+    assert p.transitions().size == 1
     assert p.n_days == 366
 
 
+def test_panel_stores_only_its_arrays():
+    # every statistic is a pass over the stored arrays: none leaves a
+    # cache behind, and the arrays stay read-only
+    panel = rl.parse_panel(GOLDEN_PANEL, (None, None))
+    rl.daily_counts(panel)
+    rl.transitions_per_bank(panel)
+    rl.moment_series(panel)
+    for statistic in ("homogeneity_L", "ck_l2"):
+        rl.rolling_series(panel, statistic, "month")
+    arrays = ("offsets", "event_day", "event_state", "coverage_end")
+    assert set(vars(panel)) == {"span", "bank_ids", *arrays}
+    for name in arrays:
+        assert not getattr(panel, name).flags.writeable
+
+
 @st.composite
-def panel_strategy(draw):
+def panel_specs(draw):
     n = draw(st.integers(0, 6))
     specs = []
     for k in range(n):
         events, cov = draw(history_strategy())
         specs.append((f"b{k}", events, min(cov, SPAN[1])))
-    return make_panel(SPAN, specs)
+    return specs
 
 
-@given(panel_strategy(), st.integers(-30, 2800))
-def test_states_at_matches_rating_at(panel, off):
+@given(panel_specs(), st.integers(-30, 2800))
+def test_states_at_matches_rating_at(specs, off):
+    panel = make_panel(SPAN, specs)
     t = SPAN[0] + dt.timedelta(days=off)
     cross = panel.states_at(t)
-    for k, h in enumerate(panel.histories):
-        want = h.rating_at(t)
+    assert cross.shape == (len(specs),)
+    for k, (_, events, cov) in enumerate(specs):
+        want = state_on(events, cov, t)
         if t < panel.span[0] or t > panel.span[1]:
             want = None  # outside the span the cross-section is all unrated
         assert cross[k] == (-1 if want is None else want)
 
 
-@given(panel_strategy())
-def test_daily_state_counts_matches_brute_force(panel):
-    counts = panel.daily_state_counts
+@given(panel_specs())
+def test_daily_state_counts_matches_brute_force(specs):
+    panel = make_panel(SPAN, specs)
+    counts = panel.daily_state_counts()
     assert counts.shape == (panel.n_days, 15)
     # spot-check a grid of days against direct per-bank evaluation
     for off in range(0, panel.n_days, 97):
         t = panel.span[0] + dt.timedelta(days=off)
         expected = np.zeros(15, dtype=np.int64)
-        for h in panel.histories:
-            s = h.rating_at(t)
+        for _, events, cov in specs:
+            s = state_on(events, cov, t)
             if s is not None:
                 expected[s] += 1
         assert np.array_equal(counts[off], expected)
-        assert counts[off].sum() == panel.count_rated(t)
+        assert counts[off].sum() == count_rated(panel, t)

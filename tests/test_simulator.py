@@ -9,6 +9,8 @@ import ratinglab as rl
 from ratinglab import DataFormatError
 from oracles import stationary_distribution
 
+from conftest import raw_histories
+
 D = dt.date
 T0 = D(2007, 1, 1)
 
@@ -34,10 +36,8 @@ def zero_q():
 def test_zero_generator_static_panel():
     panel = rl.simulate(homogeneous(zero_q(), 50, D(2009, 1, 1), seed=3))
     assert panel.n_banks == 50
-    assert panel.total_transitions() == 0
-    for h in panel.histories:
-        assert len(h.events) == 1
-        assert h.coverage == panel.span
+    assert panel.transitions().size == 0
+    assert raw_histories(panel) == [([(T0, s)], panel.span[1]) for s in panel.event_state.tolist()]
 
 
 def test_simulation_deterministic():
@@ -118,13 +118,12 @@ def test_occupation_converges_to_stationary():
 
 def test_high_rate_collisions_stay_valid():
     # 30 jumps/yr forces plenty of same-day re-draws; the panel must
-    # still satisfy every history invariant (construction checks them)
+    # still satisfy every history invariant
     q = rl.random_generator(2, 30.0)
     panel = rl.simulate(homogeneous(q, 50, D(2008, 1, 1), seed=1))
-    assert panel.total_transitions() > 500
-    for h in panel.histories:
-        dates = [e.date for e in h.events]
-        assert all(a < b for a, b in zip(dates, dates[1:]))
+    assert panel.transitions().size > 500
+    for events, _ in raw_histories(panel):
+        assert all(a[0] < b[0] and a[1] != b[1] for a, b in zip(events, events[1:]))
 
 
 def test_excited_downgrades_cluster():
@@ -142,15 +141,14 @@ def test_excited_downgrades_cluster():
     )
     panel = rl.simulate(scen)
     cond_n = cond_down = all_n = all_down = 0
-    for h in panel.histories:
-        evs = h.events
+    for evs, _ in raw_histories(panel):
         for k in range(1, len(evs)):
-            is_down = evs[k].state < evs[k - 1].state
+            is_down = evs[k][1] < evs[k - 1][1]
             all_n += 1
             all_down += is_down
             if k >= 2:
-                prev_down = evs[k - 1].state < evs[k - 2].state
-                gap = (evs[k].date - evs[k - 1].date).days
+                prev_down = evs[k - 1][1] < evs[k - 2][1]
+                gap = (evs[k][0] - evs[k - 1][0]).days
                 if prev_down and gap <= 90:
                     cond_n += 1
                     cond_down += is_down
@@ -158,6 +156,30 @@ def test_excited_downgrades_cluster():
     conditional = cond_down / cond_n
     assert cond_n > 100
     assert conditional > unconditional + 0.15
+
+
+def test_excitation_follows_own_downgrades_only():
+    # a bank is excited by its own downgrades alone, so bank 0 draws the
+    # same events whether or not 39 other banks share its panel
+    def bank_zero(n_banks):
+        scen = rl.scenario_from_mapping(
+            {
+                "kind": "excited",
+                "n_banks": str(n_banks),
+                "start": "2007-01-01",
+                "end": "2012-01-01",
+                "seed": "5",
+                "rate_scale": "2",
+                "gamma": "5",
+                "memory_days": "90",
+            }
+        )
+        return raw_histories(rl.simulate(scen))[0]
+
+    alone = bank_zero(1)
+    events = alone[0]
+    assert any(b[1] < a[1] for a, b in zip(events, events[1:]))  # it was excited
+    assert bank_zero(40) == alone
 
 
 def test_regime_switch_rates_jump():
@@ -296,6 +318,8 @@ def test_scenario_excitation_pairing():
 def test_excitation_validation():
     with pytest.raises(ValueError):
         rl.Excitation(gamma=0.0, memory_days=90)
+    with pytest.raises(ValueError):
+        rl.Excitation(gamma=math.inf, memory_days=90)
     with pytest.raises(ValueError):
         rl.Excitation(gamma=2.0, memory_days=0)
 
