@@ -1,4 +1,4 @@
-"""Calendar helpers: ISO parsing, month arithmetic, day grids.
+"""Calendar helpers: ISO parsing, month arithmetic, month grids.
 
 All analysis windows are anchored to calendar dates; durations are kept
 in whole days and converted to years as ``days / 365``.
@@ -39,12 +39,6 @@ def month_starts(start: dt.date, end: dt.date) -> list[dt.date]:
         out.append(cur)
         cur = add_months(cur, 1)
     return out
-
-
-def day_range(start: dt.date, end: dt.date) -> list[dt.date]:
-    """Every calendar day from ``start`` to ``end`` inclusive."""
-    n = (end - start).days
-    return [start + dt.timedelta(days=i) for i in range(n + 1)]
 
 
 def years_between(start: dt.date, end: dt.date) -> float:

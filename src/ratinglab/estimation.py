@@ -117,7 +117,11 @@ class TransitionMatrix:
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Intensity matrix: nonnegative off-diagonal, zero row sums; per year."""
+    """Intensity matrix: nonnegative off-diagonal, zero row sums; per year.
+
+    A row sum may deviate from 0 by 1e-12 times the row's absolute sum,
+    or by 1e-12 when that sum is at most 1.
+    """
 
     entries: np.ndarray
 
@@ -130,9 +134,10 @@ class GeneratorMatrix:
         off = q[~np.eye(N_STATES, dtype=bool)]
         if off.min() < 0.0:
             raise ValueError("negative off-diagonal rate")
-        row_err = np.abs(q.sum(axis=1)).max()
-        if row_err > GENERATOR_ROW_SUM_TOL:
-            raise ValueError(f"row sums deviate from 0 by {row_err:.3e}")
+        # Roundoff in a row sum grows with the row's magnitude.
+        row_err = np.abs(q.sum(axis=1))
+        if np.any(row_err > GENERATOR_ROW_SUM_TOL * np.maximum(np.abs(q).sum(axis=1), 1.0)):
+            raise ValueError(f"row sums deviate from 0 by {row_err.max():.3e}")
         object.__setattr__(self, "entries", q)
 
 

@@ -10,12 +10,17 @@ Three scenario kinds:
   rates are multiplied by ``gamma`` for ``memory_days`` days; the
   minimal violation of the Markov property.
 
-Banks are independent and each consumes its own random stream derived
-from ``(seed, bank_index)``, so panels are reproducible regardless of
-evaluation order.  Holding times are exponential in the active rates;
-at a regime boundary or an excitation expiry the clock restarts with
-the new rates (exact for exponential clocks).  Jump times are recorded
-at whole days; a jump that would land on its bank's previous event day
+Banks are independent: bank ``k`` draws only from its own stream
+``np.random.default_rng((seed, k))``, so its events are the same
+whatever the number or evaluation order of the other banks.
+
+The daily rates are tabulated once per scenario: for each regime,
+excitation flag and state, the running sums of the rates out of that
+state.  A row's total is the exit rate, in which holding times are
+exponential, and a jump's target is a bisection into the row.  At a
+regime boundary or an excitation expiry the clock restarts with the
+new rates (exact for exponential clocks).  Jump times are recorded at
+whole days; a jump that would land on its bank's previous event day
 is re-drawn.
 """
 
@@ -23,9 +28,11 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -155,133 +162,83 @@ def random_generator(seed: int, rate_scale: float) -> GeneratorMatrix:
     return GeneratorMatrix(entries=q)
 
 
-def _bank_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
+def _rate_table(scenario: Scenario) -> list:
+    """``table[regime][excited][state]``: the running sums of the daily
+    jump rates out of ``state`` (downward rates times gamma when
+    excited) and the last state with a positive rate.
 
-
-def _pick(cumulative: Sequence[float], u: float) -> int:
-    """Index of the first cumulative weight exceeding ``u * total``."""
-    target = u * cumulative[-1]
-    for j, c in enumerate(cumulative):
-        if target < c:
-            return j
-    return len(cumulative) - 1
+    Each row is summed in state order, so its total is the exit rate
+    and the target state of a jump is a ``bisect`` into the sums.
+    """
+    gamma = scenario.excitation.gamma if scenario.excitation is not None else 1.0
+    table = []
+    for _, gen in scenario.generators:
+        q = gen.entries / DAYS_PER_YEAR
+        calm, excited = [], []
+        for i in range(N_STATES):
+            rates = [max(float(q[i, j]), 0.0) if j != i else 0.0 for j in range(N_STATES)]
+            last = max((j for j in range(N_STATES) if rates[j] > 0.0), default=0)
+            calm.append((list(accumulate(rates)), last))
+            downs = [w * gamma if j < i else w for j, w in enumerate(rates)]
+            excited.append((list(accumulate(downs)), last))
+        table.append((calm, excited))
+    return table
 
 
 def _simulate_bank(
-    rng: np.random.Generator,
-    regime_days: list[int],
-    daily_rates: list[list[list[float]]],
-    initial_cum: list[float],
-    gamma: float,
-    memory_days: int,
-    day0: int,
-    day1: int,
-    days: list[int],
-    states: list[int],
+    rng: np.random.Generator, table: list, bounds: list[float], memory_days: int,
+    days: list[int], states: list[int],
 ) -> None:
-    """Append one bank's events (day offset from ``day0``, state) to the lists."""
-    state = _pick(initial_cum, rng.random())
-    days.append(0)
-    states.append(state)
-    last_day = day0
-    t = float(day0)
+    """Append one bank's jumps after its first event, ``states[-1]`` on
+    day offset 0, to the lists.
+
+    ``bounds`` holds the regime activation days and then the span end,
+    as day ordinals.
+    """
+    state = states[-1]
+    last_day = day0 = int(bounds[0])
+    t, end = bounds[0], bounds[-1]
     excite_until = -math.inf
-    end = float(day1)
-
-    while True:
-        regime = 0
-        for r in range(len(regime_days) - 1, -1, -1):
-            if regime_days[r] <= t:
-                regime = r
-                break
-        seg_end = end
-        if regime + 1 < len(regime_days):
-            seg_end = min(seg_end, float(regime_days[regime + 1]))
+    while t < end:
+        regime = bisect_right(bounds, t) - 1
         excited = t < excite_until
-        if excited:
-            seg_end = min(seg_end, excite_until)
-
-        row = daily_rates[regime][state]
-        if excited:
-            lam = 0.0
-            for j in range(N_STATES):
-                lam += row[j] * gamma if j < state else row[j]
-        else:
-            lam = 0.0
-            for j in range(N_STATES):
-                lam += row[j]
-
-        if lam <= 0.0:
-            if seg_end >= end:
-                break
-            t = seg_end
+        seg_end = min(bounds[regime + 1], excite_until) if excited else bounds[regime + 1]
+        cum, last = table[regime][excited][state]
+        lam = cum[-1]
+        if lam <= 0.0 or (x := t - math.log(1.0 - rng.random()) / lam) >= seg_end:
+            t = seg_end  # the clock restarts with the next segment's rates
             continue
-
-        u = rng.random()
-        x = t - math.log(1.0 - u) / lam
-        if x >= seg_end:
-            if seg_end >= end:
-                break
-            t = seg_end
-            continue
-
-        day = int(math.floor(x + 0.5))
+        day = math.floor(x + 0.5)
         if day <= last_day:
             continue  # would collide with the previous event day; re-draw
-
-        target = rng.random() * lam
-        cum = 0.0
-        chosen = -1
-        for j in range(N_STATES):
-            w = row[j] * gamma if (excited and j < state) else row[j]
-            cum += w
-            if target < cum and w > 0.0:
-                chosen = j
-                break
-        if chosen < 0:  # roundoff guard: take the last reachable state
-            for j in range(N_STATES - 1, -1, -1):
-                if row[j] > 0.0:
-                    chosen = j
-                    break
-
+        chosen = bisect_right(cum, rng.random() * lam)
+        if chosen == N_STATES:  # roundoff guard: take the last reachable state
+            chosen = last
         days.append(day - day0)
         states.append(chosen)
         last_day = day
-        if memory_days > 0 and chosen < state:
+        if chosen < state:
             excite_until = x + memory_days
-        state = chosen
-        t = x
+        state, t = chosen, x
 
 
 def simulate(scenario: Scenario) -> Panel:
     """Draw the scenario's panel; byte-identical for identical scenarios."""
     start, end = scenario.span
-    day0, day1 = start.toordinal(), end.toordinal()
-    regime_days = [d.toordinal() for d, _ in scenario.generators]
-    daily_rates = []
-    for _, gen in scenario.generators:
-        q = gen.entries / DAYS_PER_YEAR
-        rows = []
-        for i in range(N_STATES):
-            row = [max(float(q[i, j]), 0.0) if j != i else 0.0 for j in range(N_STATES)]
-            rows.append(row)
-        daily_rates.append(rows)
-    initial_cum = list(np.cumsum(scenario.initial_distribution))
-    if scenario.excitation is not None:
-        gamma, memory_days = scenario.excitation.gamma, scenario.excitation.memory_days
-    else:
-        gamma, memory_days = 1.0, 0
+    bounds = [float(d.toordinal()) for d, _ in scenario.generators] + [float(end.toordinal())]
+    table = _rate_table(scenario)
+    initial_cum = np.cumsum(scenario.initial_distribution).tolist()
+    memory_days = scenario.excitation.memory_days if scenario.excitation is not None else 0
 
     days: list[int] = []
     states: list[int] = []
     offsets = [0]
     for k in range(scenario.n_banks):
-        rng = _bank_rng(scenario.seed, k)
-        _simulate_bank(
-            rng, regime_days, daily_rates, initial_cum, gamma, memory_days, day0, day1,
-            days, states,
-        )
+        rng = np.random.default_rng((scenario.seed, k))
+        days.append(0)
+        # u < 1 keeps u * total below the total, so the search stays in range
+        states.append(bisect_right(initial_cum, rng.random() * initial_cum[-1]))
+        _simulate_bank(rng, table, bounds, memory_days, days, states)
         offsets.append(len(days))
     # Zero-padded to one width, the ids sort in index order.
     width = max(len(str(max(scenario.n_banks - 1, 0))), 4)
@@ -290,7 +247,7 @@ def simulate(scenario: Scenario) -> Panel:
         offsets,
         days,
         states,
-        np.full(scenario.n_banks, day1 - day0),
+        np.full(scenario.n_banks, (end - start).days),
         scenario.span,
     )
 

@@ -1,9 +1,14 @@
+import contextlib
 import csv
 import datetime as dt
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ratinglab as rl
 from ratinglab.cli import main
@@ -394,6 +399,30 @@ def test_simulate_non_finite_scenario_value_is_data_error(tmp_path, capsys, kind
     assert "must be" in err and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "kind, value",
+    [
+        # at 82 jumps a day the same-day re-draws never reach the next
+        # day, so the span has zero length; loading still validates the generator
+        ("homogeneous", "rate_scale = 30000\nend = 2007-01-01\n"),
+        # the switched generator is validated though it never activates
+        (
+            "regime_switch",
+            "rate_scale = 1\nswitch_multiplier = 1e4\nswitch_date = 2008-01-01\nend = 2008-01-01\n",
+        ),
+    ],
+)
+def test_simulate_large_rates_pass_generator_validation(tmp_path, capsys, kind, value):
+    # row sums of such generators carry more than 1e-12 of roundoff
+    text = f"kind = {kind}\nn_banks = 4\nstart = 2007-01-01\nseed = 1\n{value}"
+    scen_path = tmp_path / "scen.txt"
+    scen_path.write_text(text, encoding="utf-8")
+    out = tmp_path / "x.csv"
+    assert run("simulate", "--scenario", str(scen_path), "--output", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    assert len(rows(out)) >= 5
+
+
 def test_excited_scenario_feeds_ck_pipeline(tmp_path):
     panel_csv = write_panel(tmp_path, scenario=EXCITED_SCENARIO)
     out = tmp_path / "ck.csv"
@@ -461,3 +490,51 @@ def test_console_entry_point_module():
     import ratinglab.__main__ as entry
 
     assert entry.main is main
+
+
+# -- fuzzing ---------------------------------------------------------------
+
+_FUZZ_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(["b1", "b2", "b3"]),
+        st.dates(D(2000, 1, 1), D(2003, 12, 31)),
+        st.sampled_from(list(rl.RATING_LABELS) + ["WR"]),
+    ).map(lambda r: f"{r[0]},{r[1].isoformat()},{r[2]}"),
+    max_size=12,
+)
+_FUZZ_JUNK = st.sampled_from([
+    "b1,20010203,A", "b2,2001-02-30,B", "b1,0000-01-01,C", "b1,,A", ",2001-01-01,A",
+    "b1,2001-01-05,Z", "b1,2001-01-05,wr", "b1,2001-01-01", "b1,2001-01-01,A,x",
+    '"b\n1",2001-01-01,A', "b1,2001-01-01,\"A", "", "bank_id,date,rating",
+])
+
+
+def _panel_bytes(rows, junk, at):
+    lines = ["bank_id,date,rating"] + rows[:at] + junk + rows[at:]
+    return ("\n".join(lines) + "\n").encode()
+
+
+_FUZZ_PANELS = st.one_of(
+    st.binary(max_size=60),
+    st.builds(_panel_bytes, _FUZZ_ROWS, st.lists(_FUZZ_JUNK, max_size=1), st.integers(0, 12)),
+)
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+@settings(max_examples=60, deadline=dt.timedelta(seconds=20))
+@given(data=_FUZZ_PANELS)
+def test_fuzz_panel_bytes_exit_cleanly(data):
+    # any input ends in exit 0, 1 or 2; an escaping exception fails the test
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "panel.csv"
+        src.write_bytes(data)
+        for command in ("counts", "moments", "homogeneity", "ck"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run(command, "--input", str(src), "--output", str(Path(tmp) / command))
+            assert code in (0, 1, 2)
+            if code == 0:
+                assert err.getvalue() == ""
+            else:
+                assert err.getvalue().startswith("ratinglab: error: ")
+                assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from ratinglab.dates import (
     DAYS_PER_YEAR,
     add_months,
-    day_range,
     month_starts,
     parse_iso_date,
     years_between,
@@ -81,17 +80,6 @@ def test_month_starts_properties(start, days):
         if probe >= start:
             assert probe in got
         probe = add_months(probe, 1)
-
-
-def test_day_range():
-    days = day_range(dt.date(2007, 1, 30), dt.date(2007, 2, 2))
-    assert days == [
-        dt.date(2007, 1, 30),
-        dt.date(2007, 1, 31),
-        dt.date(2007, 2, 1),
-        dt.date(2007, 2, 2),
-    ]
-    assert day_range(dt.date(2007, 5, 5), dt.date(2007, 5, 5)) == [dt.date(2007, 5, 5)]
 
 
 def test_years_between():

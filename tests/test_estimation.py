@@ -270,6 +270,22 @@ def test_generator_validation():
         rl.GeneratorMatrix(entries=q2)
 
 
+def test_generator_row_sum_tolerance_scales_with_rates():
+    # row sums of a valid generator at 30000/yr carry ~5e-12 of roundoff
+    q = rl.random_generator(7, 30000).entries
+    assert np.abs(q.sum(axis=1)).max() > 1e-12
+    rl.GeneratorMatrix(entries=q)
+    rl.GeneratorMatrix(entries=1e4 * rl.random_generator(3, 1.0).entries)
+    bad = q.copy()
+    bad[6, 6] -= 1e-3  # a real error, far beyond roundoff
+    with pytest.raises(ValueError, match=r"^row sums deviate from 0 by 1\.000e-03$"):
+        rl.GeneratorMatrix(entries=bad)
+    small = np.zeros((15, 15))
+    small[4, 4], small[4, 5] = -0.5, 0.5 + 2e-12  # below magnitude 1 the bound stays 1e-12
+    with pytest.raises(ValueError, match=r"^row sums deviate from 0 by 2\.000e-12$"):
+        rl.GeneratorMatrix(entries=small)
+
+
 def test_transition_matrix_validation():
     m = np.eye(15)
     m[0, 0] = 0.9  # row sum 0.9
