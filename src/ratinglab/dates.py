@@ -29,16 +29,15 @@ def add_months(day: dt.date, months: int) -> dt.date:
 
 
 def month_starts(start: dt.date, end: dt.date) -> list[dt.date]:
-    """All first-of-month dates within ``[start, end]``, ascending."""
-    first = dt.date(start.year, start.month, 1)
-    if first < start:
-        first = add_months(first, 1)
-    out = []
-    cur = first
-    while cur <= end:
-        out.append(cur)
-        cur = add_months(cur, 1)
-    return out
+    """All first-of-month dates within ``[start, end]``, ascending.
+
+    Months are counted as ``12 * year + month - 1``, so the grid stops
+    at the span's last month start, 9999-12-01 at the latest, without
+    forming a date past it.
+    """
+    first = 12 * start.year + start.month - 1 + (start.day > 1)
+    last = 12 * end.year + end.month - 1
+    return [dt.date(k // 12, k % 12 + 1, 1) for k in range(first, last + 1)]
 
 
 def years_between(start: dt.date, end: dt.date) -> float:

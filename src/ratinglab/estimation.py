@@ -30,7 +30,10 @@ __all__ = [
     "TransitionMatrix",
     "GeneratorMatrix",
     "count_transitions",
+    "transitions_through",
     "exposures",
+    "bank_days_before",
+    "exposure_vector",
     "estimate_generator",
     "matrix_exponential",
     "empirical_transition_matrix",
@@ -141,6 +144,48 @@ class GeneratorMatrix:
         object.__setattr__(self, "entries", q)
 
 
+def transitions_through(panel: Panel, days) -> np.ndarray:
+    """Running change counts: ``[r, i, j]`` counts i -> j changes dated on or before ``days[r]``.
+
+    ``days`` are ascending day offsets from the span start.  Each state
+    change is bucketed once, at the first listed day on or after it, and
+    a running sum over the buckets gives every row, so the counts of a
+    window ``(a, b]`` are row ``b`` minus row ``a``.
+    """
+    days = np.asarray(days, dtype=np.int64)
+    idx = panel.transitions()
+    pair = panel.event_state[idx - 1] * N_STATES + panel.event_state[idx]
+    cell = np.searchsorted(days, panel.event_day[idx]) * N_STATES**2 + pair
+    hist = np.bincount(cell, minlength=(len(days) + 1) * N_STATES**2)
+    # The spare last bucket holds the changes after the last listed day.
+    hist = hist.reshape(-1, N_STATES, N_STATES)[:-1]
+    return np.cumsum(hist, axis=0, out=hist)
+
+
+def bank_days_before(panel: Panel, days) -> np.ndarray:
+    """Running occupancy: ``[r, s]`` is the bank-days spent in state ``s`` before ``days[r]``.
+
+    ``days`` are ascending day offsets from the span start.  A segment
+    held on days ``[u, v)`` adds ``max(0, min(x, v) - u)`` on day ``x``:
+    ``x - u`` once ``x`` passes ``u``, less ``x - v`` once it passes
+    ``v``.  So each row is ``x`` times a running count of passed
+    segment starts less ends, minus a running sum of their days; both
+    are exact integers, and no per-day array is built, so a span may
+    run for millennia.
+    """
+    days = np.asarray(days, dtype=np.int64)
+    size = (len(days) + 1) * N_STATES
+    passed = np.zeros(size, dtype=np.int64)
+    day_sum = np.zeros(size, dtype=np.int64)
+    for points, sign in ((panel.event_day, 1), (panel.segment_ends(), -1)):
+        # Cell (first listed day past the point, state); the spare last row is never read.
+        cell = np.searchsorted(days, points, side="right") * N_STATES + panel.event_state
+        passed += sign * np.bincount(cell, minlength=size)
+        np.add.at(day_sum, cell, sign * points.astype(np.int64))
+    passed, day_sum = (np.cumsum(a.reshape(-1, N_STATES)[:-1], axis=0) for a in (passed, day_sum))
+    return days[:, None] * passed - day_sum
+
+
 def count_transitions(panel: Panel, t0: dt.date, tf: dt.date) -> CountMatrix:
     """Count state-change events with date in ``(t0, tf]`` per (from, to) pair.
 
@@ -148,14 +193,8 @@ def count_transitions(panel: Panel, t0: dt.date, tf: dt.date) -> CountMatrix:
     recorded state change, never a single 5 -> 3 entry.
     """
     _check_window((t0, tf))
-    a = panel.day_offset(t0)
-    b = panel.day_offset(tf)
-    idx = panel.transitions()
-    day = panel.event_day[idx]
-    idx = idx[(day > a) & (day <= b)]
-    pair = panel.event_state[idx - 1] * N_STATES + panel.event_state[idx]
-    counts = np.bincount(pair, minlength=N_STATES * N_STATES).reshape(N_STATES, N_STATES)
-    return CountMatrix(window=(t0, tf), counts=counts)
+    through = transitions_through(panel, [panel.day_offset(t0), panel.day_offset(tf)])
+    return CountMatrix(window=(t0, tf), counts=through[1] - through[0])
 
 
 def exposures(panel: Panel, t0: dt.date, tf: dt.date) -> ExposureVector:
@@ -165,12 +204,13 @@ def exposures(panel: Panel, t0: dt.date, tf: dt.date) -> ExposureVector:
     rated contributes 1/365 of a bank-year to its state on that day.
     """
     _check_window((t0, tf))
-    a = panel.day_offset(t0)
-    b = panel.day_offset(tf)
-    days = np.minimum(panel.segment_ends(), b) - np.maximum(panel.event_day, a)
-    np.clip(days, 0, None, out=days)
-    bank_days = np.bincount(panel.event_state, days.astype(np.float64), minlength=N_STATES)
-    return ExposureVector(window=(t0, tf), exposure=bank_days / DAYS_PER_YEAR)
+    before = bank_days_before(panel, [panel.day_offset(t0), panel.day_offset(tf)])
+    return exposure_vector(before[1] - before[0], (t0, tf))
+
+
+def exposure_vector(bank_days: np.ndarray, window: Window) -> ExposureVector:
+    """Exposure from integer bank-days per state, converted to bank-years."""
+    return ExposureVector(window=window, exposure=bank_days / DAYS_PER_YEAR)
 
 
 def estimate_generator(counts: CountMatrix, exposure: ExposureVector) -> GeneratorMatrix:
@@ -215,13 +255,15 @@ def empirical_transition_matrix(panel: Panel, t0: dt.date, tf: dt.date) -> Trans
     cohort are identity rows, keeping the matrix stochastic.
     """
     _check_window((t0, tf))
-    return cohort_matrix(panel.states_at(t0), panel.states_at(tf), (t0, tf))
+    start, end = panel.states_at_many([(t - panel.span[0]).days for t in (t0, tf)])
+    return cohort_matrix(start, end, (t0, tf))
 
 
 def cohort_matrix(start: np.ndarray, end: np.ndarray, window: Window) -> TransitionMatrix:
     """Cohort matrix from the cross-sections on a window's two ends (-1: unrated)."""
     both = (start >= 0) & (end >= 0)
-    pair = start[both] * N_STATES + end[both]
+    # Widen before scaling: int8 cross-sections would wrap at 14 * 15.
+    pair = start[both].astype(np.int64) * N_STATES + end[both]
     counts = np.bincount(pair, minlength=N_STATES * N_STATES).reshape(N_STATES, N_STATES)
     totals = counts.sum(axis=1)
     m = np.eye(N_STATES, dtype=np.float64)

@@ -8,7 +8,9 @@ day ``coverage_end[k]``.  Within a bank, event days strictly increase
 and consecutive states differ.  A bank's rating on day ``t`` is the
 state of its most recent event on or before ``t``; outside its coverage
 it is unrated.  Every query is a pass over these arrays; nothing
-derived from them is cached.
+derived from them is cached.  :meth:`Panel.states_at_many` takes the
+cross-sections of many days in one pass, which is how a rolling series
+gets all of its windows' cross-sections.
 """
 
 from __future__ import annotations
@@ -111,17 +113,42 @@ class Panel:
 
         Dates outside the span are legal here and yield an all-unrated
         cross-section (needed when an increment endpoint precedes the
-        span).
+        span).  This is the one-row case of :meth:`states_at_many`.
         """
-        out = np.full(self.n_banks, -1, dtype=np.int64)
-        off = (t - self.span[0]).days
-        if not 0 <= off < self.n_days:
-            return out
-        # A bank's event days rise, so its events up to ``off`` are a prefix.
-        seen = np.add.reduceat(self.event_day <= off, self.offsets[:-1], dtype=np.int64)
-        valid = (seen > 0) & (off <= self.coverage_end)
-        out[valid] = self.event_state[self.offsets[:-1][valid] + seen[valid] - 1]
-        return out
+        return self.states_at_many([(t - self.span[0]).days])[0].astype(np.int64)
+
+    def states_at_many(self, days) -> np.ndarray:
+        """Cross-sections on many days, as an int8 block of shape (len(days), n_banks).
+
+        Row ``r`` holds every bank's state on day offset ``days[r]``
+        (days from the span start; any order, repeats allowed), -1
+        where the bank is unrated.  Days outside the span give all -1.
+
+        One sweep over the events builds every row: each event adds its
+        change of state (from -1 for a bank's first event) at the first
+        requested day on or after it, each bank adds its return to -1 at
+        the first requested day after its coverage end, and a running
+        sum down the rows completes the block.
+        """
+        days = np.asarray(days, dtype=np.int64)
+        grid, row = np.unique(days, return_inverse=True)
+        n_banks = self.n_banks
+        # One spare row takes the changes after the last requested day.
+        delta = np.zeros((len(grid) + 1, n_banks), dtype=np.int8)
+        delta[0] = -1
+        first, last = self.offsets[:-1], self.offsets[1:] - 1
+        step = np.diff(self.event_state, prepend=self.event_state[:1])
+        step[first] = self.event_state[first] + 1
+        bank = np.repeat(np.arange(n_banks), np.diff(self.offsets))
+        cell = np.searchsorted(grid, self.event_day) * n_banks + bank
+        np.add.at(delta.reshape(-1), cell, step.astype(np.int8))
+        lapse = np.searchsorted(grid, self.coverage_end, side="right")
+        delta[lapse, np.arange(n_banks)] -= (self.event_state[last] + 1).astype(np.int8)
+        # Every partial sum is a state or -1, so int8 holds it exactly.
+        np.cumsum(delta, axis=0, out=delta)
+        if len(grid) == len(row) and np.all(grid == days):
+            return delta[:-1]  # already ascending and distinct: no reordering copy
+        return delta[row]
 
     def daily_state_counts(self) -> np.ndarray:
         """Array of shape (n_days, 15): banks per state per span day."""

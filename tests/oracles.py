@@ -94,6 +94,25 @@ def two_pass_moments(sample):
     return mean, m2, m3 / m2 ** 1.5, m4 / m2 ** 2
 
 
+def elementwise_moments(sample):
+    """Population moments with every power taken element by element.
+
+    The formula of ``ratinglab.moments`` before it took the powers once
+    per distinct value: numpy's ``c * c``, ``c**3`` and ``c**4`` over
+    the whole deviation array.  Returns (mean, variance, skewness,
+    kurtosis), the last two None for a degenerate variance.
+    """
+    x = np.asarray(sample, dtype=np.float64)
+    m1 = float(np.mean(x))
+    c = x - m1
+    m2 = float(np.mean(c * c))
+    if m2 < 1e-12:
+        return m1, m2, None, None
+    m3 = float(np.mean(c**3))
+    m4 = float(np.mean(c**4))
+    return m1, m2, m3 / m2**1.5, m4 / m2**2
+
+
 def state_on(events, coverage_end: dt.date, day: dt.date):
     """Step-function lookup by linear scan; None outside coverage."""
     if day > coverage_end or day < events[0][0]:
@@ -130,10 +149,12 @@ def cohort_matrix(histories, t0: dt.date, tf: dt.date) -> np.ndarray:
 def window_counts_exposures(histories, t0: dt.date, tf: dt.date):
     """Transition counts over (t0, tf] and the daily exposure sum.
 
-    Day-by-day loops; only for small fixtures.
+    Day-by-day loops; only for small fixtures.  Rated days are counted
+    as integers per state and divided by 365 once, so the exposure is
+    the exact bank-day count in bank-years.
     """
     counts = np.zeros((N_STATES, N_STATES), dtype=np.int64)
-    exposure = np.zeros(N_STATES)
+    bank_days = np.zeros(N_STATES, dtype=np.int64)
     one = dt.timedelta(days=1)
     for events, cov in histories:
         for (_, s1), (d2, s2) in zip(events, events[1:]):
@@ -143,9 +164,9 @@ def window_counts_exposures(histories, t0: dt.date, tf: dt.date):
         while day < tf:
             s = state_on(events, cov, day)
             if s is not None:
-                exposure[s] += 1.0 / DAYS_PER_YEAR
+                bank_days[s] += 1
             day += one
-    return counts, exposure
+    return counts, bank_days / DAYS_PER_YEAR
 
 
 def stationary_distribution(q: np.ndarray, tol: float = 1e-13) -> np.ndarray:

@@ -243,6 +243,29 @@ def test_month_windows_over_one_year(tmp_path):
     assert len(rows(out)) - 1 <= 12
 
 
+@pytest.mark.parametrize("to", [[], ["--to", "9999-12-31"]], ids=["inferred", "to-9999-12-31"])
+@pytest.mark.parametrize(
+    "argv",
+    [["counts"], ["moments"], ["homogeneity"], ["ck"], ["ck", "--window", "month"]],
+    ids=" ".join,
+)
+def test_span_reaching_year_9999(tmp_path, capsys, argv, to):
+    # No month start after 9999-12-01 can be formed: the grid stops
+    # there, and a window ending later does not fit.
+    panel_csv = tmp_path / "panel.csv"
+    panel_csv.write_text(
+        "bank_id,date,rating\nb1,9999-10-15,A\nb1,9999-11-20,B\nb2,9999-12-20,C\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert run(argv[0], "--input", str(panel_csv), "--output", str(out), *argv[1:], *to) == 0
+    assert capsys.readouterr().err == ""
+    if argv[0] == "moments":
+        assert [r[0] for r in rows(out)[1:]] == ["9999-11-01", "9999-12-01"]
+    elif argv == ["ck", "--window", "month"]:
+        assert [r[:2] for r in rows(out)[1:]] == [["9999-11-01", "9999-12-01"]]
+
+
 def test_non_utf8_input_is_data_error(tmp_path, capsys):
     bad = tmp_path / "latin1.csv"
     bad.write_bytes("bank_id,date,rating\nbanque-\u00e9,2007-01-01,B\n".encode("latin-1"))

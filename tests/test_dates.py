@@ -64,6 +64,13 @@ def test_month_starts_empty():
     assert month_starts(dt.date(2007, 1, 2), dt.date(2007, 1, 31)) == []
 
 
+def test_month_starts_stop_at_last_representable_month():
+    last = dt.date(9999, 12, 1)
+    assert month_starts(dt.date(9999, 10, 15), dt.date.max) == [dt.date(9999, 11, 1), last]
+    assert month_starts(dt.date(9999, 12, 2), dt.date.max) == []
+    assert month_starts(last, last) == [last]
+
+
 @given(
     start=st.dates(dt.date(2000, 1, 1), dt.date(2015, 1, 1)),
     days=st.integers(0, 1200),

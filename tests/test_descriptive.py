@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ratinglab as rl
 from ratinglab.dates import month_starts
-from oracles import state_on, two_pass_moments
+from oracles import elementwise_moments, state_on, two_pass_moments
 
 from conftest import make_panel, raw_histories
 
@@ -148,6 +148,32 @@ def test_moments_match_two_pass_oracle(sample):
     else:
         assert ms.skewness == pytest.approx(skew, rel=1e-9, abs=1e-9)
         assert ms.kurtosis == pytest.approx(kurt, rel=1e-9, abs=1e-9)
+
+
+def _bits(v):
+    return None if v is None else float.hex(v)  # float.hex tells -0.0 from 0.0
+
+
+@given(
+    st.one_of(
+        st.lists(st.integers(-14, 14), min_size=1, max_size=400),
+        # int8 samples with more elements than levels, as cross-sections are
+        st.lists(st.integers(-100, 60), min_size=170, max_size=400).map(
+            lambda v: np.array(v, dtype=np.int8)
+        ),
+        st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=200),
+        st.builds(lambda v, n: [v] * n, st.floats(-1e3, 1e3), st.integers(1, 50)),
+    )
+)
+@example([7])
+@example([0.0, -0.0])
+@example([-0.0])
+@example([-0.0, 0.0, -0.0, 2.5, -2.5])
+@example([3, 3, 3, 3])
+def test_moments_bit_identical_to_elementwise_formula(sample):
+    ms = rl.moments(sample)
+    got = (ms.mean, ms.variance, ms.skewness, ms.kurtosis)
+    assert [_bits(v) for v in got] == [_bits(v) for v in elementwise_moments(sample)]
 
 
 @given(

@@ -1,12 +1,17 @@
 import datetime as dt
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ratinglab as rl
-from oracles import cohort_matrix, sigma_max
+import ratinglab.diagnostics as diagnostics
+from ratinglab.dates import month_starts
+from oracles import cohort_matrix, sigma_max, window_counts_exposures
 
 from conftest import make_panel, raw_histories
 
@@ -273,6 +278,74 @@ def test_rolling_magnitudes_sane(homogeneous_panel):
     assert np.median(np.abs(series.values)) < 3.0
     ck = rl.rolling_series(panel, "ck_l2", "year")
     assert float(ck.values.max()) < 1.0
+
+
+@st.composite
+def mid_month_panels(draw):
+    """Up to five banks, some withdrawn, over a span of 20 days to 3 years
+    that starts mid-month; many events and coverage ends fall on or next
+    to a month start."""
+    start = D(2007, draw(st.integers(1, 12)), draw(st.integers(2, 28)))
+    n_days = draw(st.integers(20, 3 * 365))
+    day = lambda off: start + dt.timedelta(days=off)
+    edges = [
+        (t - start).days + e
+        for t in month_starts(start, day(n_days))
+        for e in (-1, 0)
+        if (t - start).days + e >= 0
+    ]
+    offset = st.integers(0, n_days) | st.sampled_from(edges or [0])
+    specs = []
+    for k in range(draw(st.integers(0, 5))):
+        offs = sorted(draw(st.sets(offset, min_size=1, max_size=8)))
+        states = [draw(st.integers(0, 14))]
+        for _ in offs[1:]:
+            states.append((states[-1] + draw(st.integers(1, 14))) % 15)
+        cov = draw(st.none() | offset.filter(lambda o: o >= offs[-1]))
+        events = [(day(o), s) for o, s in zip(offs, states)]
+        specs.append((f"b{k}", events, None if cov is None else day(cov)))
+    return make_panel((start, day(n_days)), specs)
+
+
+@given(mid_month_panels(), st.sampled_from(["month", "year"]), st.sampled_from([1, 3, 600]))
+def test_rolling_series_windows_match_oracles(panel, window, per_pass):
+    # Record what every window hands to the per-window algebra, taking
+    # the windows in passes of 1, 3 or all.
+    fit, cohort = diagnostics.estimate_generator, diagnostics.cohort_matrix
+    fits, cohorts = {}, []
+
+    def spy_fit(counts, exposure):
+        fits[counts.window] = (counts.counts, exposure.exposure)
+        return fit(counts, exposure)
+
+    def spy_cohort(start, end, w):
+        cohorts.append(cohort(start, end, w))
+        return cohorts[-1]
+
+    with mock.patch.multiple(
+        diagnostics,
+        estimate_generator=spy_fit,
+        cohort_matrix=spy_cohort,
+        WINDOWS_PER_PASS=per_pass,
+    ):
+        homogeneity = rl.rolling_series(panel, "homogeneity_L", window)
+        ck = rl.rolling_series(panel, "ck_l2", window)
+
+    hist = raw_histories(panel)
+    starts = month_starts(*panel.span)
+    windows = list(zip(starts, starts[diagnostics.WINDOW_MONTHS[window] :]))
+    assert [(p.window_start, p.window_end) for p in ck.points] == windows
+    for (t0, tf), point in zip(windows, ck.points):
+        counts, exposure = window_counts_exposures(hist, t0, tf)
+        assert point.n_transitions == counts.sum()
+        if counts.sum():
+            got_counts, got_exposure = fits.pop((t0, tf))
+            assert np.array_equal(got_counts, counts)
+            assert np.array_equal(got_exposure, exposure)
+    assert not fits  # windows without transitions are not fitted
+    assert len(cohorts) == len(homogeneity.points) + 3 * len(ck.points)
+    for m in cohorts:
+        assert np.array_equal(m.entries, cohort_matrix(hist, *m.window))
 
 
 def test_rolling_rejects_unknown_names():

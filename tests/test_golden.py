@@ -7,6 +7,14 @@ dates, padded fields and blank lines.  The analysis outputs under
 the columnar one, so any change to parsing, collapsing or the
 statistics shows up here.
 
+The ``*_mid_month``, ``*_short_span`` and ``moments_tau30`` files were
+written by the code that still built every rolling window from its own
+cross-sections, counts and exposures, before a series took them in one
+pass.  They pin the edges of the month grid: a span starting mid-month,
+a span (``data/golden_short_panel.csv``, the rows of the golden panel
+dated 2008-02-10..2009-01-20) shorter than a year window, and a short
+increment lag.
+
 The ``simulate_*.csv`` files were written by the simulator that drew
 each jump by summing its rates step by step, before the rates were
 tabulated once per scenario.  They pin the random streams and the
@@ -25,21 +33,31 @@ from ratinglab.cli import main
 
 DATA = Path(__file__).parent / "data"
 PANEL = DATA / "golden_panel.csv"
+SHORT_PANEL = DATA / "golden_short_panel.csv"
+# Series variants: (panel, extra flags, file-name suffix).
+VARIANTS = [
+    (PANEL, [], ""),
+    (PANEL, ["--from", "2005-11-17"], "_mid_month"),
+    (SHORT_PANEL, ["--from", "2008-02-10", "--to", "2009-01-20"], "_short_span"),
+]
 
 CASES = [
-    (["counts"], "counts", ["daily_counts.csv", "transitions_per_bank.csv"]),
-    (["moments"], "moments.csv", ["moments.csv"]),
-    (["homogeneity", "--window", "month"], "homogeneity_month.csv", ["homogeneity_month.csv"]),
-    (["homogeneity", "--window", "year"], "homogeneity_year.csv", ["homogeneity_year.csv"]),
-    (["ck", "--window", "month"], "ck_month.csv", ["ck_month.csv"]),
-    (["ck", "--window", "year"], "ck_year.csv", ["ck_year.csv"]),
+    (PANEL, ["counts"], "counts", ["daily_counts.csv", "transitions_per_bank.csv"]),
+    (PANEL, ["moments"], "moments.csv", ["moments.csv"]),
+    (PANEL, ["moments", "--tau", "30"], "moments_tau30.csv", ["moments_tau30.csv"]),
+] + [
+    (panel, [stat, "--window", window] + flags, name, [name])
+    for stat in ("homogeneity", "ck")
+    for window in ("month", "year")
+    for panel, flags, suffix in VARIANTS
+    for name in [f"{stat}_{window}{suffix}.csv"]
 ]
 
 
-@pytest.mark.parametrize("argv, output, files", CASES, ids=[c[1] for c in CASES])
-def test_cli_output_matches_golden_bytes(tmp_path, argv, output, files):
+@pytest.mark.parametrize("panel, argv, output, files", CASES, ids=[c[2] for c in CASES])
+def test_cli_output_matches_golden_bytes(tmp_path, panel, argv, output, files):
     out = tmp_path / output
-    assert main([argv[0], "--input", str(PANEL), "--output", str(out)] + argv[1:]) == 0
+    assert main([argv[0], "--input", str(panel), "--output", str(out)] + argv[1:]) == 0
     for name in files:
         written = out / name if out.is_dir() else out
         assert written.read_bytes() == (DATA / "golden" / name).read_bytes(), name

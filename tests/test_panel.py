@@ -256,6 +256,32 @@ def test_states_at_matches_rating_at(specs, off):
         assert cross[k] == (-1 if want is None else want)
 
 
+@given(panel_specs(), st.data())
+def test_states_at_many_matches_state_on(specs, data):
+    # Days come unsorted and repeated, some before and after the span,
+    # many on or next to an event or a coverage end; specs include
+    # withdrawn banks and the empty panel.
+    edges = [
+        (d - SPAN[0]).days + e
+        for _, events, cov in specs
+        for d in [*(d for d, _ in events), cov]
+        for e in (-1, 0, 1)
+    ]
+    day = st.integers(-400, 3000) | st.sampled_from(edges or [0])
+    offs = data.draw(st.lists(day, max_size=16))
+    offs = data.draw(st.permutations(offs + offs[: len(offs) // 2]))
+    panel = make_panel(SPAN, specs)
+    block = panel.states_at_many(offs)
+    assert block.dtype == np.int8
+    assert block.shape == (len(offs), len(specs))
+    for r, off in enumerate(offs):
+        t = SPAN[0] + dt.timedelta(days=off)
+        inside = SPAN[0] <= t <= SPAN[1]
+        for k, (_, events, cov) in enumerate(specs):
+            want = state_on(events, cov, t) if inside else None
+            assert block[r, k] == (-1 if want is None else want)
+
+
 @given(panel_specs())
 def test_daily_state_counts_matches_brute_force(specs):
     panel = make_panel(SPAN, specs)
