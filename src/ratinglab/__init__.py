@@ -8,13 +8,10 @@ processes.
 
 from .dates import DAYS_PER_YEAR
 from .descriptive import (
-    Histogram,
     MomentPoint,
     MomentSet,
-    increment_histogram,
     moment_series,
     moments,
-    rating_histogram,
     write_moment_series_csv,
 )
 from .diagnostics import (
@@ -37,12 +34,9 @@ from .estimation import (
     estimate_generator,
     exposures,
     matrix_exponential,
-    read_matrix_csv,
-    write_matrix_csv,
 )
 from .ingest import (
     daily_counts,
-    infer_span,
     parse_panel,
     transitions_per_bank,
     write_count_series_csv,
@@ -75,19 +69,15 @@ __all__ = [
     "DataFormatError",
     "SpanError",
     "parse_panel",
-    "infer_span",
     "write_count_series_csv",
     "write_moment_series_csv",
     "write_panel_csv",
     "daily_counts",
     "transitions_per_bank",
-    "Histogram",
     "MomentSet",
     "MomentPoint",
     "moments",
     "moment_series",
-    "rating_histogram",
-    "increment_histogram",
     "CountMatrix",
     "ExposureVector",
     "TransitionMatrix",
@@ -97,8 +87,6 @@ __all__ = [
     "estimate_generator",
     "matrix_exponential",
     "empirical_transition_matrix",
-    "write_matrix_csv",
-    "read_matrix_csv",
     "TestPoint",
     "TestSeries",
     "l2_norm",

@@ -1,4 +1,4 @@
-"""Calendar helpers: ISO parsing, month arithmetic, month grids.
+"""Calendar helpers: ISO parsing, month grids, year fractions.
 
 All analysis windows are anchored to calendar dates; durations are kept
 in whole days and converted to years as ``days / 365``.
@@ -18,14 +18,6 @@ def parse_iso_date(text: str) -> dt.date:
         return dt.date.fromisoformat(text)
     except ValueError:
         raise ValueError(f"invalid ISO date {text!r}") from None
-
-
-def add_months(day: dt.date, months: int) -> dt.date:
-    """Shift a first-of-month date by a number of calendar months."""
-    if day.day != 1:
-        raise ValueError("month arithmetic is only defined for month-start dates")
-    k = day.month - 1 + months
-    return dt.date(day.year + k // 12, k % 12 + 1, 1)
 
 
 def month_starts(start: dt.date, end: dt.date) -> list[dt.date]:

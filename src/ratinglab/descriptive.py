@@ -1,4 +1,4 @@
-"""Cross-sectional histograms and rolling moment series.
+"""Moments of rating cross-sections and rolling moment series.
 
 Moments are population-normalized (no sample-bias correction) and the
 kurtosis is non-excess, so a Gaussian sample sits at 3.  Skewness and
@@ -21,15 +21,11 @@ import numpy as np
 
 from .dates import month_starts
 from .panel import Panel
-from .scale import N_STATES, RATING_LABELS
 from .textio import text_stream
 
 __all__ = [
-    "Histogram",
     "MomentSet",
     "MomentPoint",
-    "rating_histogram",
-    "increment_histogram",
     "moments",
     "moment_series",
     "write_moment_series_csv",
@@ -38,27 +34,9 @@ __all__ = [
 #: Variance below this is treated as degenerate: skewness/kurtosis undefined.
 DEGENERATE_VARIANCE = 1e-12
 
-INCREMENT_BINS = tuple(range(-(N_STATES - 1), N_STATES))
-
 #: Sample dates per cross-section pass; a pass holds up to two bytes a
-#: bank a date, so a long span or a short step is taken in passes.
+#: bank a date, so a long span is taken in passes.
 DATES_PER_PASS = 120
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Counts over an ordered set of bins."""
-
-    bin_labels: tuple
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.bin_labels) != len(self.counts):
-            raise ValueError("bin_labels and counts length mismatch")
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
 
 
 @dataclass(frozen=True)
@@ -85,24 +63,6 @@ class MomentPoint:
     increments: Optional[MomentSet]
 
 
-def rating_histogram(panel: Panel, t: dt.date) -> Histogram:
-    """Distribution of states over all banks rated on day ``t``."""
-    states = panel.states_at(t)
-    counts = np.bincount(states[states >= 0], minlength=N_STATES)
-    return Histogram(bin_labels=RATING_LABELS, counts=tuple(int(c) for c in counts))
-
-
-def increment_histogram(panel: Panel, t: dt.date, tau: int = 365) -> Histogram:
-    """Distribution of rating changes over ``[t - tau, t]``.
-
-    Banks lacking a rating at either endpoint are excluded.
-    """
-    [(now, then)] = _lagged_cross_sections(panel, [t], tau)
-    values = _increment_sample(now, then)
-    counts = np.bincount(values + (N_STATES - 1), minlength=2 * N_STATES - 1)
-    return Histogram(bin_labels=INCREMENT_BINS, counts=tuple(int(c) for c in counts))
-
-
 def _lagged_cross_sections(
     panel: Panel, dates: Sequence[dt.date], tau: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -117,12 +77,6 @@ def _lagged_cross_sections(
     days = np.unique(np.array(now + then, dtype=np.int64))
     block = panel.states_at_many(days)
     return [(block[i], block[j]) for i, j in zip(*np.searchsorted(days, [now, then]).tolist())]
-
-
-def _increment_sample(now: np.ndarray, then: np.ndarray) -> np.ndarray:
-    """``R(t) - R(t - tau)`` of the banks rated on both days."""
-    both = (now >= 0) & (then >= 0)
-    return now[both] - then[both]
 
 
 def moments(sample: Sequence[float]) -> MomentSet:
@@ -166,31 +120,22 @@ def _distinct(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(raw, return_inverse=True)
 
 
-def moment_series(
-    panel: Panel, tau: int = 365, step: Optional[int] = None
-) -> list[MomentPoint]:
+def moment_series(panel: Panel, tau: int = 365) -> list[MomentPoint]:
     """Rolling moments of the rating and increment cross-sections.
 
-    Sampled on the first day of each month by default, or every ``step``
-    days from the span start when ``step`` is given.  The cross-sections
-    on every sample date and every lagged date come from one
+    Sampled on the first day of each month.  The cross-sections on
+    every sample date and every lagged date come from one
     :meth:`Panel.states_at_many` per :data:`DATES_PER_PASS` dates.
     """
-    start, end = panel.span
-    if step is None:
-        dates = month_starts(start, end)
-    else:
-        if step < 1:
-            raise ValueError(f"step must be >= 1 day, got {step}")
-        dates = [start + dt.timedelta(days=i) for i in range(0, panel.n_days, step)]
-
+    dates = month_starts(*panel.span)
     out = []
     for lo in range(0, len(dates), DATES_PER_PASS):
         chunk = dates[lo : lo + DATES_PER_PASS]
         for day, (now, then) in zip(chunk, _lagged_cross_sections(panel, chunk, tau)):
             ratings = now[now >= 0]
             r_moments = moments(ratings) if ratings.size else None
-            increments = _increment_sample(now, then)
+            both = (now >= 0) & (then >= 0)  # increments need both ends rated
+            increments = now[both] - then[both]
             t_moments = moments(increments) if increments.size else None
             out.append(MomentPoint(date=day, ratings=r_moments, increments=t_moments))
     return out

@@ -10,19 +10,16 @@ is the model-free alternative built from start/end state pairs.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
 from .dates import DAYS_PER_YEAR
 from .panel import Panel
-from .scale import N_STATES, RATING_LABELS
-from .textio import text_stream
+from .scale import N_STATES
 
 __all__ = [
     "CountMatrix",
@@ -37,8 +34,6 @@ __all__ = [
     "estimate_generator",
     "matrix_exponential",
     "empirical_transition_matrix",
-    "write_matrix_csv",
-    "read_matrix_csv",
 ]
 
 ROW_SUM_TOL = 1e-9
@@ -270,34 +265,3 @@ def cohort_matrix(start: np.ndarray, end: np.ndarray, window: Window) -> Transit
     occupied = totals > 0
     m[occupied] = counts[occupied] / totals[occupied, None]
     return TransitionMatrix(entries=m, window=window)
-
-
-def write_matrix_csv(
-    matrix: Union[TransitionMatrix, GeneratorMatrix, np.ndarray],
-    target: Union[str, Path, IO[str]],
-) -> None:
-    """Write a 15x15 matrix with label headers at 17 significant digits."""
-    m = matrix if isinstance(matrix, np.ndarray) else matrix.entries
-    with text_stream(target, "w") as stream:
-        writer = csv.writer(stream)
-        writer.writerow(["state"] + list(RATING_LABELS))
-        for i, row in enumerate(np.asarray(m, dtype=np.float64)):
-            writer.writerow([RATING_LABELS[i]] + [format(v, ".17g") for v in row])
-
-
-def read_matrix_csv(source: Union[str, Path, IO[str]]) -> np.ndarray:
-    """Read a matrix written by :func:`write_matrix_csv`."""
-    with text_stream(source) as stream:
-        reader = csv.reader(stream)
-        header = next(reader)
-        if header != ["state"] + list(RATING_LABELS):
-            raise ValueError("unexpected matrix header")
-        rows = []
-        for i, row in enumerate(reader):
-            if row[0] != RATING_LABELS[i]:
-                raise ValueError(f"unexpected row label {row[0]!r}")
-            rows.append([float(v) for v in row[1:]])
-    m = np.asarray(rows, dtype=np.float64)
-    if m.shape != (N_STATES, N_STATES):
-        raise ValueError("matrix is not 15x15")
-    return m

@@ -11,6 +11,9 @@ A source is read once: a streaming ``csv.reader`` pass interns every
 field as an integer code, dates are parsed once per distinct text, and
 the span, the checks and the collapse into the panel's arrays are
 vectorised.  Each check names the row a row-by-row reader would.
+
+The daily count series are read off the panel's arrays: the rated
+banks on each day are a running sum of coverage starts less ends.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .textio import Target as Source, text_stream
 
 __all__ = [
     "parse_panel",
-    "infer_span",
     "write_panel_csv",
     "daily_counts",
     "transitions_per_bank",
@@ -39,6 +41,9 @@ __all__ = [
 ]
 
 HEADER = ("bank_id", "date", "rating")
+
+#: Days in the trailing window of :func:`transitions_per_bank`.
+TRAILING_DAYS = 365
 
 #: Label text -> state; ``WR`` gets the code one past the last state.
 _LABEL_CODE = {label: state for state, label in enumerate(RATING_LABELS)}
@@ -226,10 +231,12 @@ def parse_panel(source: Source, span: tuple[Optional[dt.date], Optional[dt.date]
     the same bank-day, events after withdrawal, dates outside the span.
     An empty file is an empty panel, not an error.
 
-    An end of ``span`` given as ``None`` is inferred from the records as
-    :func:`infer_span` does, with its errors, in the same single read.
-    A span ending before it starts raises :class:`SpanError`; when both
-    ends are given, that is checked before the source is read.
+    An end of ``span`` given as ``None`` is inferred, in the same single
+    read, as the earliest or latest record date; that inference checks
+    only dates and field counts, and a file without data rows has no
+    span and raises.  A span ending before it starts raises
+    :class:`SpanError`; when both ends are given, that is checked before
+    the source is read.
     """
     start, end = span
     if start is not None and end is not None and end < start:
@@ -242,16 +249,6 @@ def parse_panel(source: Source, span: tuple[Optional[dt.date], Optional[dt.date]
         if end < start:
             raise SpanError(start, end)
     return columns.panel(start, end)
-
-
-def infer_span(source: Source) -> tuple[dt.date, dt.date]:
-    """Smallest [start, end] covering every record date in the file.
-
-    Only the date column and the field counts are checked; labels and
-    per-bank rules are validated by :func:`parse_panel`.  A file without
-    data rows has no inferable span and raises.
-    """
-    return _EventColumns(source).span()
 
 
 def write_panel_csv(panel: Panel, target: Union[str, Path, IO[str]]) -> None:
@@ -272,38 +269,44 @@ def write_panel_csv(panel: Panel, target: Union[str, Path, IO[str]]) -> None:
         )
 
 
+def _rated_per_day(panel: Panel) -> np.ndarray:
+    """Rated banks on each span day: each is rated from its first event through its coverage end."""
+    n = panel.n_days
+    starts = np.bincount(panel.event_day[panel.offsets[:-1]], minlength=n + 1)
+    ends = np.bincount(panel.coverage_end + 1, minlength=n + 1)
+    return np.cumsum(starts - ends)[:n]
+
+
 def daily_counts(panel: Panel) -> list[tuple[dt.date, int]]:
     """Number of rated banks per day; days with none are omitted.
 
     An empty panel therefore yields an empty series rather than a run
     of zero rows.
     """
-    totals = panel.daily_state_counts().sum(axis=1)
+    totals = _rated_per_day(panel)
     start = panel.span[0]
     return [
         (start + dt.timedelta(days=i), int(v)) for i, v in enumerate(totals) if v > 0
     ]
 
 
-def transitions_per_bank(panel: Panel, window: int = 365) -> list[tuple[dt.date, float]]:
+def transitions_per_bank(panel: Panel) -> list[tuple[dt.date, float]]:
     """Trailing transitions-per-bank ratio for every day of the span.
 
-    For each day ``t``: state changes dated within ``[t - window, t]``
-    (clipped to the span) divided by the mean daily rated-bank count
-    over the same days.  Days whose whole window has zero rated banks
-    are omitted.
+    For each day ``t``: state changes dated within
+    ``[t - TRAILING_DAYS, t]`` (clipped to the span) divided by the mean
+    daily rated-bank count over the same days.  Days whose whole window
+    has zero rated banks are omitted.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1 day, got {window}")
     n = panel.n_days
-    daily_total = panel.daily_state_counts().sum(axis=1).astype(np.float64)
+    daily_total = _rated_per_day(panel).astype(np.float64)
     daily_tr = np.bincount(panel.event_day[panel.transitions()], minlength=n).astype(np.float64)
 
     cum_tr = np.concatenate([[0.0], np.cumsum(daily_tr)])
     cum_nr = np.concatenate([[0.0], np.cumsum(daily_total)])
 
     t = np.arange(n)
-    lo = np.maximum(t - window, 0)
+    lo = np.maximum(t - TRAILING_DAYS, 0)
     mean_banks = (cum_nr[t + 1] - cum_nr[lo]) / (t + 1 - lo)
     rated = np.flatnonzero(mean_banks != 0.0)
     ratio = (cum_tr[rated + 1] - cum_tr[lo[rated]]) / mean_banks[rated]

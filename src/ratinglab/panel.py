@@ -8,9 +8,10 @@ day ``coverage_end[k]``.  Within a bank, event days strictly increase
 and consecutive states differ.  A bank's rating on day ``t`` is the
 state of its most recent event on or before ``t``; outside its coverage
 it is unrated.  Every query is a pass over these arrays; nothing
-derived from them is cached.  :meth:`Panel.states_at_many` takes the
-cross-sections of many days in one pass, which is how a rolling series
-gets all of its windows' cross-sections.
+derived from them is cached.  :meth:`Panel.states_at_many` is the one
+cross-section query: it takes the cross-sections of many days in one
+pass, which is how a rolling series gets all of its windows'
+cross-sections.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import datetime as dt
 import numpy as np
 
 from .errors import SpanError
-from .scale import N_STATES
 
 __all__ = ["Panel"]
 
@@ -69,9 +69,6 @@ class Panel:
             )
         )
 
-    def __len__(self) -> int:
-        return self.n_banks
-
     @property
     def n_days(self) -> int:
         """Number of calendar days in the span, inclusive."""
@@ -108,15 +105,6 @@ class Panel:
         seg_end[self.offsets[1:] - 1] = self.coverage_end + 1
         return seg_end
 
-    def states_at(self, t: dt.date) -> np.ndarray:
-        """Cross-section of states on day ``t``; -1 where a bank is unrated.
-
-        Dates outside the span are legal here and yield an all-unrated
-        cross-section (needed when an increment endpoint precedes the
-        span).  This is the one-row case of :meth:`states_at_many`.
-        """
-        return self.states_at_many([(t - self.span[0]).days])[0].astype(np.int64)
-
     def states_at_many(self, days) -> np.ndarray:
         """Cross-sections on many days, as an int8 block of shape (len(days), n_banks).
 
@@ -149,10 +137,3 @@ class Panel:
         if len(grid) == len(row) and np.all(grid == days):
             return delta[:-1]  # already ascending and distinct: no reordering copy
         return delta[row]
-
-    def daily_state_counts(self) -> np.ndarray:
-        """Array of shape (n_days, 15): banks per state per span day."""
-        delta = np.zeros((self.n_days + 1, N_STATES), dtype=np.int64)
-        np.add.at(delta, (self.event_day, self.event_state), 1)
-        np.add.at(delta, (np.minimum(self.segment_ends(), self.n_days), self.event_state), -1)
-        return np.cumsum(delta[:-1], axis=0)

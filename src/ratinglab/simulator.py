@@ -129,7 +129,9 @@ class Scenario:
         if (self.excitation is not None) != (self.kind == "excited"):
             raise ValueError("excitation is required exactly for 'excited' scenarios")
         p = np.asarray(self.initial_distribution, dtype=np.float64)
-        if p.shape != (N_STATES,) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
+        # Range-check before summing: NaN passes the tolerance test and 1e308 overflows the sum.
+        in_range = p.shape == (N_STATES,) and np.all((p >= 0) & (p <= 1))
+        if not in_range or abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("initial_distribution must be 15 nonnegative probabilities summing to 1")
         object.__setattr__(self, "initial_distribution", p)
 

@@ -32,6 +32,11 @@ def make_panel(span, specs):
     return rl.parse_panel(io.StringIO("\n".join(rows) + "\n"), span)
 
 
+def cross_section(panel, *dates):
+    """Every bank's state on each date, one row per date (-1: unrated)."""
+    return panel.states_at_many([(t - panel.span[0]).days for t in dates])
+
+
 def raw_histories(panel):
     """Plain (events, coverage_end) pairs per bank, read off the panel's arrays."""
     start = panel.span[0]

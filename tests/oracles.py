@@ -113,6 +113,14 @@ def elementwise_moments(sample):
     return m1, m2, m3 / m2**1.5, m4 / m2**2
 
 
+def add_months(day: dt.date, months: int) -> dt.date:
+    """Shift a first-of-month date by a number of calendar months."""
+    if day.day != 1:
+        raise ValueError("month arithmetic is only defined for month-start dates")
+    k = day.month - 1 + months
+    return dt.date(day.year + k // 12, k % 12 + 1, 1)
+
+
 def state_on(events, coverage_end: dt.date, day: dt.date):
     """Step-function lookup by linear scan; None outside coverage."""
     if day > coverage_end or day < events[0][0]:

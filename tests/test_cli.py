@@ -406,6 +406,9 @@ def test_simulate_bad_scenario_is_data_error(tmp_path, capsys):
         ("excited", "gamma = inf"),
         ("homogeneous", "rate_scale = inf"),
         ("regime_switch", "switch_multiplier = inf"),
+        # NaN weights pass a tolerance test on their sum; 1e308 overflows it
+        pytest.param("homogeneous", "initial = " + ",".join(["nan"] * 15), id="initial-nan"),
+        pytest.param("homogeneous", "initial = " + ",".join(["1e308"] * 15), id="initial-1e308"),
     ],
 )
 def test_simulate_non_finite_scenario_value_is_data_error(tmp_path, capsys, kind, value):

@@ -11,7 +11,7 @@ import ratinglab as rl
 from ratinglab.dates import month_starts
 from oracles import elementwise_moments, state_on, two_pass_moments
 
-from conftest import make_panel, raw_histories
+from conftest import cross_section, make_panel, raw_histories
 
 D = dt.date
 
@@ -21,33 +21,39 @@ def flat_panel(states, span=(D(2007, 1, 1), D(2009, 1, 1))):
     return make_panel(span, specs)
 
 
-# -- histograms -------------------------------------------------------
+def rating_counts(panel, t):
+    """Rated banks per state on day ``t``."""
+    [states] = cross_section(panel, t)
+    return np.bincount(states[states >= 0], minlength=15).tolist()
+
+
+def increments_on(panel, t, tau):
+    """The increment moments of the monthly series on the month start ``t``."""
+    return {pt.date: pt.increments for pt in rl.moment_series(panel, tau=tau)}[t]
+
+
+# -- cross-sections and increments -------------------------------------
 
 
 def test_rating_histogram_point_mass():
     p = flat_panel([7, 7, 7])
-    h = rl.rating_histogram(p, D(2007, 6, 1))
-    assert h.counts[7] == 3
-    assert sum(h.counts) == h.total == 3
-    assert h.bin_labels == rl.RATING_LABELS
+    counts = rating_counts(p, D(2007, 6, 1))
+    assert counts[7] == sum(counts) == 3
 
 
 def test_rating_histogram_empty_panel():
     p = make_panel((D(2007, 1, 1), D(2008, 1, 1)), [])
-    h = rl.rating_histogram(p, D(2007, 6, 1))
-    assert all(c == 0 for c in h.counts)
-    assert h.total == 0
+    assert rating_counts(p, D(2007, 6, 1)) == [0] * 15
 
 
 def test_rating_histogram_hand_tally():
     p = flat_panel([0, 3, 3, 14, 7])
-    h = rl.rating_histogram(p, D(2007, 2, 1))
     expected = [0] * 15
     expected[0] = 1
     expected[3] = 2
     expected[14] = 1
     expected[7] = 1
-    assert list(h.counts) == expected
+    assert rating_counts(p, D(2007, 2, 1)) == expected
 
 
 def test_rating_histogram_total_equals_count_rated():
@@ -60,15 +66,13 @@ def test_rating_histogram_total_equals_count_rated():
     for off in (0, 90, 200):
         t = span[0] + dt.timedelta(days=off)
         rated = sum(state_on(events, cov, t) is not None for _, events, cov in specs)
-        assert rl.rating_histogram(p, t).total == rated
+        assert sum(rating_counts(p, t)) == rated
 
 
 def test_increment_histogram_static_panel():
     p = flat_panel([2, 9, 13])
-    h = rl.increment_histogram(p, D(2008, 6, 1), tau=365)
-    assert h.bin_labels == tuple(range(-14, 15))
-    assert h.counts[h.bin_labels.index(0)] == 3
-    assert h.total == 3
+    ms = increments_on(p, D(2008, 6, 1), tau=365)
+    assert (ms.mean, ms.variance, ms.skewness) == (0.0, 0.0, None)
 
 
 def test_increment_histogram_downgrade():
@@ -76,9 +80,8 @@ def test_increment_histogram_downgrade():
     p = make_panel(
         span, [("b1", [(span[0], 9), (D(2007, 10, 1), 7)], None)]
     )
-    h = rl.increment_histogram(p, D(2008, 1, 1), tau=365)
-    assert h.counts[h.bin_labels.index(-2)] == 1
-    assert h.total == 1
+    ms = increments_on(p, D(2008, 1, 1), tau=365)
+    assert (ms.mean, ms.variance) == (-2.0, 0.0)
 
 
 def test_increment_histogram_excludes_entrants():
@@ -91,15 +94,16 @@ def test_increment_histogram_excludes_entrants():
         ],
     )
     t = D(2008, 6, 1)
-    h = rl.increment_histogram(p, t, tau=365)
-    assert h.total == 1
-    assert rl.rating_histogram(p, t).total == 2
+    # b2 counted with an unrated start would add an increment of 4 - (-1)
+    ms = increments_on(p, t, tau=365)
+    assert (ms.mean, ms.variance) == (0.0, 0.0)
+    assert sum(rating_counts(p, t)) == 2
 
 
 def test_increment_histogram_rejects_bad_tau():
     p = flat_panel([3])
     with pytest.raises(ValueError):
-        rl.increment_histogram(p, D(2007, 6, 1), tau=0)
+        rl.moment_series(p, tau=0)
 
 
 # -- moments ----------------------------------------------------------
@@ -247,22 +251,6 @@ def test_moment_series_matches_naive_recomputation(homogeneous_panel):
             want_t = rl.moments(incs)
             assert pt.increments.mean == pytest.approx(want_t.mean, rel=1e-12)
             assert pt.increments.kurtosis == pytest.approx(want_t.kurtosis, rel=1e-9)
-
-
-def test_moment_series_step_grid():
-    span = (D(2007, 1, 1), D(2007, 2, 1))
-    p = flat_panel([3], span)
-    series = rl.moment_series(p, tau=10, step=7)
-    assert [pt.date for pt in series] == [
-        span[0] + dt.timedelta(days=i) for i in range(0, 32, 7)
-    ]
-    with pytest.raises(ValueError):
-        rl.moment_series(p, tau=10, step=0)
-
-
-def test_histogram_length_mismatch_rejected():
-    with pytest.raises(ValueError):
-        rl.Histogram(bin_labels=("a", "b"), counts=(1,))
 
 
 # -- CSV --------------------------------------------------------------

@@ -1,5 +1,4 @@
 import datetime as dt
-import io
 import math
 
 import numpy as np
@@ -389,30 +388,3 @@ def test_estimated_exponential_close_to_cohort(homogeneous_panel):
     m_coh = rl.empirical_transition_matrix(panel, t0, tf)
     assert np.max(np.abs(m_hat.entries - m_coh.entries)) < 0.2
     assert np.mean(np.abs(m_hat.entries - m_coh.entries)) < 0.02
-
-
-# -- matrix CSV round trip ---------------------------------------------
-
-
-def test_matrix_csv_round_trip():
-    q = rl.random_generator(11, 0.4)
-    m = rl.matrix_exponential(q, 1.0)
-    buf = io.StringIO()
-    rl.write_matrix_csv(m, buf)
-    back = rl.read_matrix_csv(io.StringIO(buf.getvalue()))
-    assert np.array_equal(back, m.entries)  # 17 digits: exact for float64
-
-
-def test_matrix_csv_headers():
-    buf = io.StringIO()
-    rl.write_matrix_csv(np.eye(15), buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0].split(",")[0] == "state"
-    assert lines[0].split(",")[1] == "E-"
-    assert lines[1].split(",")[0] == "E-"
-    assert lines[-1].split(",")[0] == "A+"
-
-
-def test_matrix_csv_rejects_foreign_header():
-    with pytest.raises(ValueError):
-        rl.read_matrix_csv(io.StringIO("a,b\n1,2\n"))

@@ -12,7 +12,7 @@ import oracles
 import ratinglab as rl
 from ratinglab import DataFormatError
 
-from conftest import make_panel, raw_histories
+from conftest import cross_section, make_panel, raw_histories
 
 D = dt.date
 SPAN = (D(2007, 1, 1), D(2010, 12, 31))
@@ -61,8 +61,7 @@ def test_parse_same_day_duplicate_rows_collapse():
 def test_parse_withdrawal_closes_coverage():
     p = parse("bank_id,date,rating\nb1,2007-01-01,C\nb1,2007-06-01,WR\n")
     assert raw_histories(p) == [([(D(2007, 1, 1), 7)], D(2007, 5, 31))]
-    assert p.states_at(D(2007, 5, 31)).tolist() == [7]
-    assert p.states_at(D(2007, 6, 1)).tolist() == [-1]
+    assert cross_section(p, D(2007, 5, 31), D(2007, 6, 1)).tolist() == [[7], [-1]]
 
 
 def test_parse_event_after_withdrawal_rejected():
@@ -235,18 +234,21 @@ def test_daily_counts_growth_fixture():
 def test_transitions_per_bank_no_transitions():
     span = (D(2007, 1, 1), D(2007, 2, 1))
     p = make_panel(span, [("b1", [(span[0], 5)], None)])
-    series = rl.transitions_per_bank(p, window=10)
+    series = rl.transitions_per_bank(p)
     assert len(series) == 32
     assert all(v == 0.0 for _, v in series)
 
 
 def test_transitions_per_bank_single():
-    span = (D(2007, 1, 1), D(2007, 3, 1))
+    # the trailing window [t - 365 days, t] holds the change through
+    # its first anniversary and drops it the day after
+    span = (D(2007, 1, 1), D(2008, 6, 1))
     p = make_panel(span, [("b1", [(span[0], 5), (D(2007, 2, 1), 6)], None)])
-    series = dict(rl.transitions_per_bank(p, window=10))
+    series = dict(rl.transitions_per_bank(p))
     assert series[D(2007, 2, 5)] == pytest.approx(1.0)
     assert series[D(2007, 1, 20)] == 0.0  # before the change
-    assert series[D(2007, 2, 20)] == 0.0  # change left the window
+    assert series[D(2008, 2, 1)] == 1.0  # 365 days on: still in the window
+    assert series[D(2008, 2, 2)] == 0.0  # change left the window
 
 
 def test_transitions_per_bank_ratio():
@@ -258,24 +260,22 @@ def test_transitions_per_bank_ratio():
             ("b2", [(span[0], 9), (D(2007, 2, 2), 8)], None),
         ],
     )
-    series = dict(rl.transitions_per_bank(p, window=10))
+    series = dict(rl.transitions_per_bank(p))
     assert series[D(2007, 2, 5)] == pytest.approx(1.5)
 
 
 def test_transitions_per_bank_omits_unrated_window():
     span = (D(2007, 1, 1), D(2007, 3, 1))
     p = make_panel(span, [("b1", [(D(2007, 2, 1), 5)], None)])
-    series = rl.transitions_per_bank(p, window=5)
+    series = rl.transitions_per_bank(p)
     assert series[0][0] == D(2007, 2, 1)
 
 
-def test_transitions_per_bank_rejects_bad_window():
-    p = make_panel((D(2007, 1, 1), D(2007, 2, 1)), [("b1", [(D(2007, 1, 1), 5)], None)])
-    with pytest.raises(ValueError):
-        rl.transitions_per_bank(p, window=0)
+# -- span inference ---------------------------------------------------
 
 
-# -- infer_span -------------------------------------------------------
+def infer_span(source):
+    return rl.parse_panel(source, (None, None)).span
 
 
 def test_infer_span():
@@ -285,14 +285,14 @@ def test_infer_span():
         "b2,2007-03-15,C\n"
         "b1,2009-12-31,B\n"
     )
-    assert rl.infer_span(io.StringIO(text)) == (D(2007, 3, 15), D(2009, 12, 31))
+    assert infer_span(io.StringIO(text)) == (D(2007, 3, 15), D(2009, 12, 31))
 
 
 def test_infer_span_rejects_empty():
-    with pytest.raises(DataFormatError):
-        rl.infer_span(io.StringIO(""))
-    with pytest.raises(DataFormatError):
-        rl.infer_span(io.StringIO("bank_id,date,rating\n"))
+    with pytest.raises(DataFormatError, match="empty file"):
+        infer_span(io.StringIO(""))
+    with pytest.raises(DataFormatError, match="empty panel"):
+        infer_span(io.StringIO("bank_id,date,rating\n"))
 
 
 # -- count series CSV -------------------------------------------------
@@ -321,7 +321,7 @@ def test_parse_from_path(tmp_path):
     path.write_text("bank_id,date,rating\nb1,2007-01-01,A+\n", encoding="utf-8")
     p = rl.parse_panel(path, SPAN)
     assert p.n_banks == 1
-    assert rl.infer_span(path) == (D(2007, 1, 1), D(2007, 1, 1))
+    assert infer_span(path) == (D(2007, 1, 1), D(2007, 1, 1))
 
 
 def test_parse_from_byte_stream():
@@ -480,11 +480,20 @@ def test_parse_panel_matches_row_by_row_oracle(text, ends):
 @settings(max_examples=200)
 @given(event_csv())
 def test_infer_span_matches_row_by_row_oracle(text):
+    # A span inferred without error is the panel's span, unless a later
+    # check rejects a row; then the oracle rejects the text over that span.
     try:
         want = oracles.infer_span(text)
     except oracles.OracleFormatError as exc:
         with pytest.raises(DataFormatError) as got:
-            rl.infer_span(io.StringIO(text))
+            infer_span(io.StringIO(text))
         assert str(got.value) == str(exc)
         return
-    assert rl.infer_span(io.StringIO(text)) == want
+    try:
+        got = infer_span(io.StringIO(text))
+    except DataFormatError as exc:
+        with pytest.raises(oracles.OracleFormatError) as oracle_exc:
+            oracles.parse_events(text, want)
+        assert str(oracle_exc.value) == str(exc)
+        return
+    assert got == want

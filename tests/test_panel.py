@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import ratinglab as rl
 from oracles import state_on
 
-from conftest import make_panel
+from conftest import cross_section, make_panel
 
 D = dt.date
 SPAN = (D(2006, 1, 1), D(2012, 12, 31))
@@ -22,20 +22,18 @@ def one_bank(events, coverage_end=None):
 
 def rating(panel, t):
     """State of a one-bank panel on day ``t``; None when unrated."""
-    s = int(panel.states_at(t)[0])
+    s = int(cross_section(panel, t)[0, 0])
     return None if s < 0 else s
 
 
 def increment(panel, t, tau):
     """``R(t) - R(t - tau)`` of a one-bank panel; None if an end is unrated."""
-    h = rl.increment_histogram(panel, t, tau)
-    if h.total == 0:
-        return None
-    return h.bin_labels[h.counts.index(1)]
+    now, then = cross_section(panel, t, t - dt.timedelta(days=tau))[:, 0].tolist()
+    return None if now < 0 or then < 0 else now - then
 
 
 def count_rated(panel, t):
-    return int(np.count_nonzero(panel.states_at(t) >= 0))
+    return int(np.count_nonzero(cross_section(panel, t) >= 0))
 
 
 # -- one bank's rating and increments ---------------------------------
@@ -85,15 +83,15 @@ def test_increment_left_endpoint_unrated():
 def test_increment_rejects_nonpositive_tau():
     p = one_bank([(D(2007, 1, 1), 7)])
     with pytest.raises(ValueError):
-        increment(p, D(2007, 1, 1), tau=0)
+        rl.moment_series(p, tau=0)
     with pytest.raises(ValueError):
-        increment(p, D(2007, 1, 1), tau=-5)
+        rl.moment_series(p, tau=-5)
 
 
 def test_increment_default_tau_is_one_year():
     p = one_bank([(D(2007, 1, 1), 3), (D(2007, 8, 1), 6)], D(2010, 1, 1))
-    h = rl.increment_histogram(p, D(2008, 2, 1))
-    assert h.counts[h.bin_labels.index(3)] == h.total == 1
+    by_date = {pt.date: pt.increments for pt in rl.moment_series(p)}
+    assert by_date[D(2008, 2, 1)].mean == 3.0
     assert increment(p, D(2008, 2, 1), tau=100) == 0
 
 
@@ -211,7 +209,7 @@ def test_panel_rejects_reversed_span():
 
 def test_panel_lookup_and_sizes():
     p = make_panel(THREE_SPAN, THREE_BANKS)
-    assert p.n_banks == len(p) == 3
+    assert p.n_banks == 3
     assert p.bank_ids == ("b1", "b2", "b3")
     assert p.event_state[p.offsets[1] + 1] == 8  # b2's second event
     assert p.transitions().size == 1
@@ -247,7 +245,7 @@ def panel_specs(draw):
 def test_states_at_matches_rating_at(specs, off):
     panel = make_panel(SPAN, specs)
     t = SPAN[0] + dt.timedelta(days=off)
-    cross = panel.states_at(t)
+    [cross] = cross_section(panel, t)
     assert cross.shape == (len(specs),)
     for k, (_, events, cov) in enumerate(specs):
         want = state_on(events, cov, t)
@@ -284,16 +282,18 @@ def test_states_at_many_matches_state_on(specs, data):
 
 @given(panel_specs())
 def test_daily_state_counts_matches_brute_force(specs):
+    # daily_counts (which omits days with no rated bank) against the
+    # cross-section and direct per-bank evaluation, on a grid of days and
+    # on both sides of every entry and withdrawal
     panel = make_panel(SPAN, specs)
-    counts = panel.daily_state_counts()
-    assert counts.shape == (panel.n_days, 15)
-    # spot-check a grid of days against direct per-bank evaluation
-    for off in range(0, panel.n_days, 97):
-        t = panel.span[0] + dt.timedelta(days=off)
-        expected = np.zeros(15, dtype=np.int64)
-        for _, events, cov in specs:
-            s = state_on(events, cov, t)
-            if s is not None:
-                expected[s] += 1
-        assert np.array_equal(counts[off], expected)
-        assert counts[off].sum() == count_rated(panel, t)
+    series = dict(rl.daily_counts(panel))
+    assert all(v > 0 for v in series.values())
+    edges = {d + dt.timedelta(days=e) for _, events, cov in specs for d in (events[0][0], cov)
+             for e in (-1, 0, 1)}
+    grid = {panel.span[0] + dt.timedelta(days=off) for off in range(0, panel.n_days, 97)}
+    for t in sorted(grid | edges):
+        if not panel.span[0] <= t <= panel.span[1]:
+            continue
+        rated = count_rated(panel, t)
+        assert rated == sum(state_on(events, cov, t) is not None for _, events, cov in specs)
+        assert series.get(t, 0) == rated

@@ -9,7 +9,7 @@ import ratinglab as rl
 from ratinglab import DataFormatError
 from oracles import stationary_distribution
 
-from conftest import raw_histories
+from conftest import cross_section, raw_histories
 
 D = dt.date
 T0 = D(2007, 1, 1)
@@ -76,7 +76,7 @@ def test_two_state_frequency_matches_exponential():
     panel = rl.simulate(
         homogeneous(gen, n, D(2008, 1, 1), seed=2024, initial=rl.point_mass_distribution(0))
     )
-    states = panel.states_at(D(2008, 1, 1))
+    states = cross_section(panel, D(2008, 1, 1))[0]
     freq = float((states == 1).sum()) / n
     want = rl.matrix_exponential(gen, 1.0).entries[0, 1]
     se = math.sqrt(want * (1 - want) / n)
@@ -88,12 +88,12 @@ def test_initial_point_mass_respected():
     panel = rl.simulate(
         homogeneous(zero_q(), 100, D(2007, 6, 1), seed=8, initial=rl.point_mass_distribution(7))
     )
-    assert np.all(panel.states_at(T0) == 7)
+    assert np.all(cross_section(panel, T0)[0] == 7)
 
 
 def test_initial_uniform_covers_scale():
     panel = rl.simulate(homogeneous(zero_q(), 3000, D(2007, 2, 1), seed=9))
-    counts = np.bincount(panel.states_at(T0), minlength=15)
+    counts = np.bincount(cross_section(panel, T0)[0], minlength=15)
     assert counts.min() > 100  # 200 expected per state
     assert counts.max() < 320
 
@@ -109,7 +109,7 @@ def test_occupation_converges_to_stationary():
         )
         for yrs in (1, 2, 4):
             t = T0 + dt.timedelta(days=365 * yrs)
-            states = panel.states_at(t)
+            states = cross_section(panel, t)[0]
             emp = np.bincount(states, minlength=15) / panel.n_banks
             tv[yrs].append(0.5 * float(np.abs(emp - pi).sum()))
     m1, m2, m4 = (float(np.median(tv[y])) for y in (1, 2, 4))
