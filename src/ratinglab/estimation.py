@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .dates import DAYS_PER_YEAR
 from .panel import Panel
@@ -234,8 +233,12 @@ def matrix_exponential(q: GeneratorMatrix, t: float) -> TransitionMatrix:
     """Transition matrix ``exp(Q t)`` for a window of ``t`` years.
 
     Delegates to scipy's scaling-and-squaring Pade implementation; the
-    result is validated against the row-stochastic invariants.
+    result is validated against the row-stochastic invariants.  scipy
+    is imported on first use: only ``homogeneity`` needs it, and it is
+    most of the package's import time.
     """
+    import scipy.linalg
+
     if not np.isfinite(t) or t < 0:
         raise ValueError(f"t must be a finite nonnegative duration, got {t}")
     m = scipy.linalg.expm(q.entries * float(t))

@@ -17,20 +17,40 @@ whatever the number or evaluation order of the other banks.
 The daily rates are tabulated once per scenario: for each regime,
 excitation flag and state, the running sums of the rates out of that
 state.  A row's total is the exit rate, in which holding times are
-exponential, and a jump's target is a bisection into the row.  At a
-regime boundary or an excitation expiry the clock restarts with the
-new rates (exact for exponential clocks).  Jump times are recorded at
-whole days; a jump that would land on its bank's previous event day
-is re-drawn.
+exponential, and a jump's target is a ``side="right"`` search into the
+row.  At a regime boundary or an excitation expiry the clock restarts
+with the new rates (exact for exponential clocks).  Jump times are
+recorded at whole days; a jump that would land on its bank's previous
+event day is re-drawn from the same time.  After ``COLLISION_LIMIT``
+re-draws in a row the bank instead draws once from ``m = min(last day
++ 1/2, segment end)``: the re-draws stop at the first time at or past
+``m``, and holding times are memoryless, so that time is ``m`` plus an
+exponential holding time either way.  The rule keeps the process and
+changes no bytes unless a bank collides that often; at tens of jumps a
+day it is what lets the loop finish.
+
+The loop runs in lockstep over blocks of ``BANKS_PER_BLOCK`` banks:
+each step, every bank still inside the span rests to its segment end
+(zero exit rate or a holding time past the segment), re-draws after a
+collision, or jumps, all in numpy arrays.  The streams are computed in
+bulk with the same bits as ``default_rng``: ``SeedSequence`` (NEP 19
+fixes its hashing) and ``PCG64`` (a 128-bit LCG with the XSL-RR output,
+O'Neill, HMC-CS-2014-0905) are integer arithmetic, carried out here on
+uint32 words and uint64 limbs for every bank of a block at once, with
+each draw advancing only the streams of the banks that draw.  The
+float steps are those of a per-bank Python loop, element by element;
+the logarithm is ``math.log`` per element, since ``np.log`` may differ
+from it in the last bit.  So the panel bytes do not depend on the
+block size, and the per-bank loop in the tests' oracles reproduces
+them.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import math
-from bisect import bisect_right
+import sys
 from dataclasses import dataclass
-from itertools import accumulate
 from pathlib import Path
 from typing import Optional, Union
 
@@ -54,6 +74,11 @@ __all__ = [
 ]
 
 KINDS = ("homogeneous", "regime_switch", "excited")
+
+# Banks stepped together; banks are independent, so the bytes do not depend on it.
+BANKS_PER_BLOCK = 4096
+# Consecutive same-day re-draws after which a bank draws once past the collision.
+COLLISION_LIMIT = 64
 
 
 def uniform_distribution() -> np.ndarray:
@@ -83,6 +108,9 @@ class Excitation:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if self.memory_days < 1:
             raise ValueError(f"memory_days must be >= 1, got {self.memory_days}")
+        # compared as an int, so a value too large for a float is caught here
+        if not self.memory_days <= sys.float_info.max:
+            raise ValueError(f"memory_days must be at most {sys.float_info.max:g}")
 
 
 @dataclass(frozen=True)
@@ -164,91 +192,230 @@ def random_generator(seed: int, rate_scale: float) -> GeneratorMatrix:
     return GeneratorMatrix(entries=q)
 
 
-def _rate_table(scenario: Scenario) -> list:
-    """``table[regime][excited][state]``: the running sums of the daily
-    jump rates out of ``state`` (downward rates times gamma when
-    excited) and the last state with a positive rate.
+@np.errstate(over="ignore")  # a huge gamma or rate sums to inf, as Python floats do
+def _rate_table(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """The daily jump rates, one row per (regime, excited, state): row
+    ``(2 * regime + excited) * 15 + state``.
 
-    Each row is summed in state order, so its total is the exit rate
-    and the target state of a jump is a ``bisect`` into the sums.
+    Returns the running sums of the rates out of each state (downward
+    rates times gamma when excited), one row of 15 each, and the last
+    state with a positive calm rate (0 if none).  Each row is summed in
+    state order, so its last entry is the exit rate and the target of
+    a jump is a ``side="right"`` search into the row.
     """
     gamma = scenario.excitation.gamma if scenario.excitation is not None else 1.0
-    table = []
+    below = np.tri(N_STATES, k=-1, dtype=bool)  # j < i: the downward moves
+    rows = []
     for _, gen in scenario.generators:
-        q = gen.entries / DAYS_PER_YEAR
-        calm, excited = [], []
-        for i in range(N_STATES):
-            rates = [max(float(q[i, j]), 0.0) if j != i else 0.0 for j in range(N_STATES)]
-            last = max((j for j in range(N_STATES) if rates[j] > 0.0), default=0)
-            calm.append((list(accumulate(rates)), last))
-            downs = [w * gamma if j < i else w for j, w in enumerate(rates)]
-            excited.append((list(accumulate(downs)), last))
-        table.append((calm, excited))
-    return table
+        calm = np.maximum(gen.entries / DAYS_PER_YEAR, 0.0)
+        np.fill_diagonal(calm, 0.0)
+        rows.append((calm, np.where(below, calm * gamma, calm)))
+    rates = np.array(rows)
+    # both flags take the calm row's last state, which a tiny gamma cannot zero
+    last = np.where(rates[:, [0, 0]] > 0.0, np.arange(N_STATES), 0).max(axis=-1)
+    return np.cumsum(rates, axis=-1).reshape(-1, N_STATES), last.reshape(-1)
 
 
-def _simulate_bank(
-    rng: np.random.Generator, table: list, bounds: list[float], memory_days: int,
-    days: list[int], states: list[int],
-) -> None:
-    """Append one bank's jumps after its first event, ``states[-1]`` on
-    day offset 0, to the lists.
+# SeedSequence (NEP 19) and PCG64 (O'Neill, HMC-CS-2014-0905) constants.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_U64 = np.uint64
+_MULT_HI, _MULT_LO = _U64(_PCG_MULT >> 64), _U64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
+_MULT_LO1, _MULT_LO0 = _U64((_PCG_MULT >> 32) & _MASK32), _U64(_PCG_MULT & _MASK32)
 
-    ``bounds`` holds the regime activation days and then the span end,
-    as day ordinals.
+
+def _uint32_words(n: int) -> list[int]:
+    """``n`` as SeedSequence reads it: 32-bit words, least significant first."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_sequence_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """``SeedSequence(entropy).generate_state(8, np.uint32)`` for every
+    lane: ``entropy`` is one uint32 array (one value per lane) per word."""
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return r ^ (r >> np.uint32(16))
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, state = _INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state.append(value ^ (value >> np.uint32(16)))
+    return state
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 LCG step, ``state * _PCG_MULT + inc`` mod 2**128, on
+    (high, low) uint64 limbs."""
+    lo1, lo0 = lo >> _U64(32), lo & _U64(_MASK32)
+    p01, p10 = lo0 * _MULT_LO1, lo1 * _MULT_LO0
+    # the high half of lo * _MULT_LO, from 32-bit partial products
+    mid = ((lo0 * _MULT_LO0) >> _U64(32)) + (p01 & _U64(_MASK32)) + (p10 & _U64(_MASK32))
+    hi = (
+        lo1 * _MULT_LO1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+        + hi * _MULT_LO + lo * _MULT_HI
+    )
+    lo = lo * _MULT_LO + inc_lo
+    return hi + inc_hi + (lo < inc_lo), lo
+
+
+def _streams(seed: int, banks: np.ndarray) -> np.ndarray:
+    """The ``default_rng((seed, k))`` PCG64 state of every bank ``k``
+    in ``banks``, as uint64 rows (state high, state low, increment
+    high, increment low)."""
+    low = (banks & _U64(_MASK32)).astype(np.uint32)
+    high = (banks >> _U64(32)).astype(np.uint32)
+    seed_words = [np.full(banks.size, w, dtype=np.uint32) for w in _uint32_words(seed)]
+    out = np.empty((4, banks.size), dtype=np.uint64)
+    # SeedSequence reads k as one word below 2**32 and two from there on
+    for lanes, k_words in ((high == 0, [low]), (high != 0, [low, high])):
+        if lanes.any():
+            words = _seed_sequence_state([w[lanes] for w in seed_words + k_words])
+            words = [w.astype(np.uint64) for w in words]
+            initstate_hi, initstate_lo, initseq_hi, initseq_lo = (
+                words[2 * i] | (words[2 * i + 1] << _U64(32)) for i in range(4)
+            )
+            inc_hi = (initseq_hi << _U64(1)) | (initseq_lo >> _U64(63))
+            inc_lo = (initseq_lo << _U64(1)) | _U64(1)
+            # PCG64 srandom: state = 0; step (state = inc); state += initstate; step
+            lo = inc_lo + initstate_lo
+            hi = inc_hi + initstate_hi + (lo < initstate_lo)
+            out[:, lanes] = (*_pcg_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
+    return out
+
+
+def _random(streams: np.ndarray, lanes) -> np.ndarray:
+    """``Generator.random()`` on the given lanes' streams, advancing them."""
+    hi, lo = _pcg_step(*streams[:, lanes])
+    streams[0, lanes], streams[1, lanes] = hi, lo
+    x, rot = hi ^ lo, hi >> _U64(58)  # XSL-RR output
+    out = (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
+    return (out >> _U64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
+def _log1m(u: np.ndarray) -> np.ndarray:
+    """``math.log(1.0 - u)`` per element; ``np.log`` may differ in the last bit."""
+    return np.fromiter(map(math.log, (1.0 - u).tolist()), dtype=np.float64, count=u.size)
+
+
+def _simulate_block(
+    scenario: Scenario, table: tuple[np.ndarray, np.ndarray], bounds: np.ndarray, first: int, n: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step banks ``first .. first + n - 1`` together.
+
+    Returns each bank's event count and the events' day offsets and
+    states, bank by bank in time order.  ``bounds`` holds the regime
+    activation days and then the span end, as day ordinals.
     """
-    state = states[-1]
-    last_day = day0 = int(bounds[0])
-    t, end = bounds[0], bounds[-1]
-    excite_until = -math.inf
-    while t < end:
-        regime = bisect_right(bounds, t) - 1
-        excited = t < excite_until
-        seg_end = min(bounds[regime + 1], excite_until) if excited else bounds[regime + 1]
-        cum, last = table[regime][excited][state]
-        lam = cum[-1]
-        if lam <= 0.0 or (x := t - math.log(1.0 - rng.random()) / lam) >= seg_end:
-            t = seg_end  # the clock restarts with the next segment's rates
-            continue
-        day = math.floor(x + 0.5)
-        if day <= last_day:
-            continue  # would collide with the previous event day; re-draw
-        chosen = bisect_right(cum, rng.random() * lam)
-        if chosen == N_STATES:  # roundoff guard: take the last reachable state
-            chosen = last
-        days.append(day - day0)
-        states.append(chosen)
-        last_day = day
-        if chosen < state:
-            excite_until = x + memory_days
-        state, t = chosen, x
+    cum, last = table
+    totals = cum[:, -1]
+    memory = float(scenario.excitation.memory_days) if scenario.excitation is not None else 0.0
+    end = bounds[-1]
+    streams = _streams(scenario.seed, np.arange(first, first + n, dtype=np.uint64))
+    initial_cum = np.cumsum(scenario.initial_distribution)
+    # u < 1 keeps u * total below the total, so the search stays in range
+    state = np.searchsorted(initial_cum, _random(streams, slice(None)) * initial_cum[-1], side="right")
+    event_bank, event_day, event_state = [np.arange(n)], [np.full(n, bounds[0])], [state]
+
+    bank = np.arange(n) if bounds[0] < end else np.arange(0)
+    state = state[bank]
+    t = np.full(bank.size, bounds[0])
+    last_day = t.copy()
+    excite_until = np.full(bank.size, -np.inf)
+    collisions = np.zeros(bank.size, dtype=np.int64)
+    with np.errstate(over="ignore"):  # a tiny exit rate gives an infinite holding time
+        while bank.size:
+            regime = np.searchsorted(bounds, t, side="right") - 1
+            excited = t < excite_until
+            seg_end = np.where(excited, np.minimum(bounds[regime + 1], excite_until), bounds[regime + 1])
+            row = (2 * regime + excited) * N_STATES + state
+            lam = totals[row]
+            # lanes at rest (λ = 0) skip to the segment end without a draw
+            x = np.full(bank.size, np.inf)
+            draw = np.flatnonzero(lam > 0.0)
+            origin = np.where(
+                collisions[draw] < COLLISION_LIMIT,
+                t[draw],
+                np.minimum(last_day[draw] + 0.5, seg_end[draw]),
+            )
+            x[draw] = origin - _log1m(_random(streams, draw)) / lam[draw]
+            moved = x >= seg_end
+            day = np.floor(x + 0.5)
+            collided = ~moved & (day <= last_day)  # re-drawn from the same t next step
+            t = np.where(moved, seg_end, t)
+            collisions = np.where(collided, collisions + 1, 0)
+            jump = np.flatnonzero(~moved & ~collided)
+            if jump.size:
+                rows = row[jump]
+                # bisect_right: the number of running sums not above u * λ
+                target = _random(streams, jump) * lam[jump]
+                chosen = N_STATES - (target[:, None] < cum[rows]).sum(axis=1)
+                chosen = np.where(chosen == N_STATES, last[rows], chosen)  # roundoff guard
+                x_jump = x[jump]
+                excite_until[jump] = np.where(chosen < state[jump], x_jump + memory, excite_until[jump])
+                state[jump], t[jump], last_day[jump] = chosen, x_jump, day[jump]
+                event_bank.append(bank[jump])
+                event_day.append(day[jump])
+                event_state.append(chosen)
+            alive = t < end
+            if not alive.all():
+                bank, t, state, last_day = bank[alive], t[alive], state[alive], last_day[alive]
+                excite_until, collisions = excite_until[alive], collisions[alive]
+                streams = streams[:, alive]
+
+    bank = np.concatenate(event_bank)
+    order = np.argsort(bank, kind="stable")  # each bank's events in step order
+    return (
+        np.bincount(bank, minlength=n),
+        (np.concatenate(event_day) - bounds[0])[order].astype(np.int32),
+        np.concatenate(event_state)[order].astype(np.int16),
+    )
 
 
 def simulate(scenario: Scenario) -> Panel:
     """Draw the scenario's panel; byte-identical for identical scenarios."""
     start, end = scenario.span
-    bounds = [float(d.toordinal()) for d, _ in scenario.generators] + [float(end.toordinal())]
+    bounds = np.array(
+        [d.toordinal() for d, _ in scenario.generators] + [end.toordinal()], dtype=np.float64
+    )
     table = _rate_table(scenario)
-    initial_cum = np.cumsum(scenario.initial_distribution).tolist()
-    memory_days = scenario.excitation.memory_days if scenario.excitation is not None else 0
-
-    days: list[int] = []
-    states: list[int] = []
-    offsets = [0]
-    for k in range(scenario.n_banks):
-        rng = np.random.default_rng((scenario.seed, k))
-        days.append(0)
-        # u < 1 keeps u * total below the total, so the search stays in range
-        states.append(bisect_right(initial_cum, rng.random() * initial_cum[-1]))
-        _simulate_bank(rng, table, bounds, memory_days, days, states)
-        offsets.append(len(days))
+    blocks = [
+        _simulate_block(scenario, table, bounds, first, min(BANKS_PER_BLOCK, scenario.n_banks - first))
+        for first in range(0, scenario.n_banks, BANKS_PER_BLOCK)
+    ]
+    counts, days, states = zip(*blocks) if blocks else ((), (), ())
     # Zero-padded to one width, the ids sort in index order.
     width = max(len(str(max(scenario.n_banks - 1, 0))), 4)
     return Panel(
         [f"B{k:0{width}d}" for k in range(scenario.n_banks)],
-        offsets,
-        days,
-        states,
+        np.concatenate([[0], *counts]).cumsum(),
+        np.concatenate([np.zeros(0, np.int32), *days]),
+        np.concatenate([np.zeros(0, np.int16), *states]),
         np.full(scenario.n_banks, (end - start).days),
         scenario.span,
     )
@@ -294,6 +461,9 @@ def _parse_initial(text: str) -> np.ndarray:
     return np.asarray([float(p) for p in parts])
 
 
+# Rates near the float maximum overflow to inf, which the generator
+# check then rejects with one error; numpy's warning would be a stray line.
+@np.errstate(over="ignore")
 def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
     """Build a scenario from string key/value pairs.
 

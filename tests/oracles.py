@@ -8,9 +8,11 @@ tuples, so agreement between the two routes is meaningful evidence.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
 import io
+import itertools
 import math
 
 import numpy as np
@@ -205,6 +207,75 @@ LABELS = (
 )
 WITHDRAWN = "WR"
 HEADER = ("bank_id", "date", "rating")
+
+
+def simulate_events(generators, end, n_banks, seed, initial, gamma=1.0, memory_days=0,
+                    collision_limit=64):
+    """Per-bank reference simulator: each bank ``k`` runs a plain Python
+    loop on its own ``np.random.default_rng((seed, k))`` stream.
+
+    ``generators`` lists (activation day ordinal, 15x15 annual
+    generator) pairs, the first activating on the span start; ``end``
+    is the span end's ordinal.  With ``memory_days`` set, a bank's
+    downward rates are ``gamma`` times larger for that many days after
+    each of its downgrades.  A jump landing on the bank's previous
+    event day is re-drawn from the same time; after ``collision_limit``
+    re-draws in a row the next draw starts from ``min(last day + 1/2,
+    segment end)``.  Returns (offsets, day offsets, states) lists in
+    the panel's compressed-sparse-row layout.
+    """
+    bounds = [float(day) for day, _ in generators] + [float(end)]
+    table = []
+    for _, q in generators:
+        q = np.asarray(q, dtype=np.float64) / DAYS_PER_YEAR
+        calm, excited = [], []
+        for i in range(N_STATES):
+            rates = [max(float(q[i, j]), 0.0) if j != i else 0.0 for j in range(N_STATES)]
+            last = max((j for j in range(N_STATES) if rates[j] > 0.0), default=0)
+            calm.append((list(itertools.accumulate(rates)), last))
+            downs = [w * gamma if j < i else w for j, w in enumerate(rates)]
+            excited.append((list(itertools.accumulate(downs)), last))
+        table.append((calm, excited))
+    initial_cum = list(itertools.accumulate(float(p) for p in initial))
+
+    offsets, days, states = [0], [], []
+    day0 = int(bounds[0])
+    for k in range(n_banks):
+        rng = np.random.default_rng((seed, k))
+        state = bisect.bisect_right(initial_cum, rng.random() * initial_cum[-1])
+        days.append(0)
+        states.append(state)
+        last_day, t = day0, bounds[0]
+        excite_until = -math.inf
+        collisions = 0
+        while t < bounds[-1]:
+            regime = bisect.bisect_right(bounds, t) - 1
+            excited = t < excite_until
+            seg_end = min(bounds[regime + 1], excite_until) if excited else bounds[regime + 1]
+            cum, last = table[regime][excited][state]
+            lam = cum[-1]
+            if lam <= 0.0:
+                t, collisions = seg_end, 0
+                continue
+            origin = t if collisions < collision_limit else min(last_day + 0.5, seg_end)
+            x = origin - math.log(1.0 - rng.random()) / lam
+            if x >= seg_end:
+                t, collisions = seg_end, 0
+                continue
+            day = math.floor(x + 0.5)
+            if day <= last_day:
+                collisions += 1
+                continue
+            chosen = bisect.bisect_right(cum, rng.random() * lam)
+            if chosen == N_STATES:
+                chosen = last
+            days.append(day - day0)
+            states.append(chosen)
+            if chosen < state:
+                excite_until = x + memory_days
+            state, t, last_day, collisions = chosen, x, day, 0
+        offsets.append(len(days))
+    return offsets, days, states
 
 
 class OracleFormatError(Exception):

@@ -2,6 +2,9 @@ import contextlib
 import csv
 import datetime as dt
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,6 +17,8 @@ import ratinglab as rl
 from ratinglab.cli import main
 
 D = dt.date
+# child interpreters import this checkout's package
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(rl.__file__).parents[1])}
 
 STATIC_SCENARIO = """\
 kind = homogeneous
@@ -409,6 +414,8 @@ def test_simulate_bad_scenario_is_data_error(tmp_path, capsys):
         # NaN weights pass a tolerance test on their sum; 1e308 overflows it
         pytest.param("homogeneous", "initial = " + ",".join(["nan"] * 15), id="initial-nan"),
         pytest.param("homogeneous", "initial = " + ",".join(["1e308"] * 15), id="initial-1e308"),
+        # 10**400 days cannot be added to a float clock
+        pytest.param("excited", "memory_days = 1" + "0" * 400, id="memory_days-401-digits"),
     ],
 )
 def test_simulate_non_finite_scenario_value_is_data_error(tmp_path, capsys, kind, value):
@@ -428,8 +435,8 @@ def test_simulate_non_finite_scenario_value_is_data_error(tmp_path, capsys, kind
 @pytest.mark.parametrize(
     "kind, value",
     [
-        # at 82 jumps a day the same-day re-draws never reach the next
-        # day, so the span has zero length; loading still validates the generator
+        # about 82 jumps a day over a zero-length span; loading still
+        # validates the generator
         ("homogeneous", "rate_scale = 30000\nend = 2007-01-01\n"),
         # the switched generator is validated though it never activates
         (
@@ -447,6 +454,53 @@ def test_simulate_large_rates_pass_generator_validation(tmp_path, capsys, kind, 
     assert run("simulate", "--scenario", str(scen_path), "--output", str(out)) == 0
     assert capsys.readouterr().err == ""
     assert len(rows(out)) >= 5
+
+
+@pytest.mark.parametrize(
+    "end, rate_scale",
+    [("2007-01-03", "30000"), ("2007-01-10", "1e300")],
+)
+def test_simulate_extreme_rates_finish(tmp_path, end, rate_scale):
+    # at these rates nearly every jump lands on the bank's last event
+    # day; after 64 re-draws in a row the bank draws past that day
+    scen_path = tmp_path / "scen.txt"
+    scen_path.write_text(
+        "kind = homogeneous\nn_banks = 1\nstart = 2007-01-01\n"
+        f"end = {end}\nseed = 1\nrate_scale = {rate_scale}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "x.csv"
+    done = subprocess.run(
+        [sys.executable, "-m", "ratinglab", "simulate", "--scenario", str(scen_path),
+         "--output", str(out)],
+        capture_output=True, text=True, timeout=30, env=SUBPROCESS_ENV,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    panel = rl.parse_panel(out, (D(2007, 1, 1), D.fromisoformat(end)))
+    assert panel.n_banks == 1 and panel.event_day.size >= 2
+
+
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning would be a stray stderr line
+@pytest.mark.parametrize(
+    "kind, value, code",
+    [
+        ("regime_switch", "rate_scale = 1e300\nswitch_multiplier = 1e300\n", 2),
+        ("homogeneous", "rate_scale = 1.7e308\n", 2),
+        # finite entries whose sums overflow: a jump every day
+        ("excited", "rate_scale = 1e308\ngamma = 1e308\n", 0),
+    ],
+)
+def test_simulate_rates_near_float_max(tmp_path, capsys, kind, value, code):
+    text = f"kind = {kind}\nn_banks = 2\nstart = 2007-01-01\nend = 2007-02-01\nseed = 1\n{value}"
+    scen_path = tmp_path / "scen.txt"
+    scen_path.write_text(text, encoding="utf-8")
+    out = tmp_path / "x.csv"
+    assert run("simulate", "--scenario", str(scen_path), "--output", str(out)) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == "ratinglab: error: invalid scenario: non-finite generator entry\n"
+    else:
+        assert err == "" and len(rows(out)) == 1 + 2 * 32
 
 
 def test_excited_scenario_feeds_ck_pipeline(tmp_path):
@@ -509,6 +563,15 @@ def test_repeat_runs_byte_identical(tmp_path):
             == 0
         )
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only homogeneity's matrix exponential needs scipy; it loads on first use
+    code = "import sys, ratinglab.cli; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=SUBPROCESS_ENV,
+    )
+    assert (done.returncode, done.stdout) == (0, "False\n")
 
 
 def test_console_entry_point_module():

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ratinglab as rl
-from ratinglab import DataFormatError
-from oracles import stationary_distribution
+from ratinglab import DataFormatError, simulator
+from oracles import simulate_events, stationary_distribution
 
 from conftest import cross_section, raw_histories
 
@@ -124,6 +126,110 @@ def test_high_rate_collisions_stay_valid():
     assert panel.transitions().size > 500
     for events, _ in raw_histories(panel):
         assert all(a[0] < b[0] and a[1] != b[1] for a, b in zip(events, events[1:]))
+
+
+# -- the lockstep loop against the per-bank reference ----------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31, 2**32 - 1, 2**32, 2**64])
+def test_streams_match_default_rng(seed):
+    # bank indices on both sides of 2**32 take one and two SeedSequence
+    # words; only these five lanes are built
+    banks = [0, 1, 2**32 - 1, 2**32, 2**40 + 7]
+    streams = simulator._streams(seed, np.array(banks, dtype=np.uint64))
+    lockstep = [simulator._random(streams, slice(None)).tolist() for _ in range(3)]
+    rngs = [np.random.default_rng((seed, k)) for k in banks]
+    assert lockstep == [[rng.random() for rng in rngs] for _ in range(3)]
+
+
+def test_log1m_is_math_log():
+    # np.log differs from math.log in the last bit on some hosts
+    u = np.random.default_rng(0).random(100_000)
+    assert simulator._log1m(u).tolist() == [math.log(1.0 - x) for x in u.tolist()]
+
+
+def reference_events(scenario, collision_limit=simulator.COLLISION_LIMIT):
+    excitation = scenario.excitation
+    return simulate_events(
+        [(d.toordinal(), g.entries) for d, g in scenario.generators],
+        scenario.span[1].toordinal(),
+        scenario.n_banks,
+        scenario.seed,
+        scenario.initial_distribution,
+        gamma=excitation.gamma if excitation is not None else 1.0,
+        memory_days=excitation.memory_days if excitation is not None else 0,
+        collision_limit=collision_limit,
+    )
+
+
+def assert_matches_reference(scenario):
+    panel = rl.simulate(scenario)
+    offsets, days, states = reference_events(scenario)
+    assert panel.offsets.tolist() == offsets
+    assert panel.event_day.tolist() == days
+    assert panel.event_state.tolist() == states
+
+
+_INITIAL = st.one_of(
+    st.just("uniform"),
+    st.integers(0, 14).map(lambda s: f"state:{s}"),
+    st.lists(st.sampled_from([0, 0, 1, 3]), min_size=15, max_size=15)
+    .filter(any)
+    .map(lambda w: ",".join(repr(x / sum(w)) for x in w)),
+)
+
+
+@st.composite
+def small_scenarios(draw):
+    kind = draw(st.sampled_from(simulator.KINDS))
+    span_days = draw(st.integers(1 if kind == "regime_switch" else 0, 1500))
+    mapping = {
+        "kind": kind,
+        "n_banks": draw(st.integers(0, 40)),
+        "start": T0.isoformat(),
+        "end": (T0 + dt.timedelta(days=span_days)).isoformat(),
+        "seed": draw(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 3, 10**30])),
+        "generator_seed": draw(st.integers(0, 50)),
+        "rate_scale": draw(st.one_of(st.sampled_from([0.0, 0.5, 5.0, 40.0]), st.floats(1e-3, 40.0))),
+        "initial": draw(_INITIAL),
+    }
+    if kind == "excited":
+        mapping["gamma"] = draw(st.floats(0.1, 50.0))
+        mapping["memory_days"] = draw(st.integers(1, 800))
+    if kind == "regime_switch":
+        # the last possible switch date is the span end itself
+        switch = draw(st.integers(1, span_days))
+        mapping["switch_date"] = (T0 + dt.timedelta(days=switch)).isoformat()
+        mapping["switch_multiplier"] = draw(st.sampled_from([0.0, 0.5, 3.0, 12.0]))
+    return rl.scenario_from_mapping({key: str(value) for key, value in mapping.items()})
+
+
+@settings(max_examples=60)
+@given(scenario=small_scenarios())
+def test_simulate_matches_per_bank_reference(scenario):
+    assert_matches_reference(scenario)
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_simulate_matches_reference_across_blocks(monkeypatch, blocks):
+    # the bytes do not depend on how banks are grouped into blocks
+    scenario = rl.scenario_from_mapping({
+        "kind": "excited", "n_banks": "23", "start": "2007-01-01", "end": "2010-01-01",
+        "seed": "5", "rate_scale": "2", "gamma": "8", "memory_days": "200",
+    })
+    monkeypatch.setattr(simulator, "BANKS_PER_BLOCK", blocks)
+    assert_matches_reference(scenario)
+
+
+def test_collision_limit_matches_reference():
+    # at about 8 jumps a day a bank often re-draws 64 times in a row
+    scenario = rl.scenario_from_mapping({
+        "kind": "homogeneous", "n_banks": "6", "start": "2007-01-01", "end": "2007-03-01",
+        "seed": "3", "rate_scale": "3000",
+    })
+    assert_matches_reference(scenario)
+    # the rule took effect: a limit of 65 re-draws gives another panel
+    assert reference_events(scenario, collision_limit=65) != reference_events(scenario)
 
 
 def test_excited_downgrades_cluster():
@@ -322,6 +428,9 @@ def test_excitation_validation():
         rl.Excitation(gamma=math.inf, memory_days=90)
     with pytest.raises(ValueError):
         rl.Excitation(gamma=2.0, memory_days=0)
+    for too_long in (10**400, math.inf, math.nan):
+        with pytest.raises(ValueError, match="memory_days must be at most"):
+            rl.Excitation(gamma=2.0, memory_days=too_long)
 
 
 # -- scenario files ------------------------------------------------------
