@@ -1,7 +1,8 @@
-"""Calendar helpers: ISO parsing, month grids, year fractions.
+"""Calendar helpers: ISO parsing and month grids.
 
-All analysis windows are anchored to calendar dates; durations are kept
-in whole days and converted to years as ``days / 365``.
+Analysis windows are anchored to calendar dates and handled as day
+offsets into a panel's span; durations are kept in whole days and
+converted to years as ``days / DAYS_PER_YEAR``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,3 @@ def month_starts(start: dt.date, end: dt.date) -> list[dt.date]:
     last = 12 * end.year + end.month - 1
     return [dt.date(k // 12, k % 12 + 1, 1) for k in range(first, last + 1)]
 
-
-def years_between(start: dt.date, end: dt.date) -> float:
-    """Window length in 365-day years."""
-    return (end - start).days / DAYS_PER_YEAR

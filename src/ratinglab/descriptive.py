@@ -11,7 +11,6 @@ dates.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 
 from .dates import month_starts
 from .panel import Panel
-from .textio import text_stream
+from .textio import format_float, write_csv
 
 __all__ = [
     "MomentSet",
@@ -142,21 +141,16 @@ def moment_series(panel: Panel, tau: int = 365) -> list[MomentPoint]:
 
 
 def _cells(ms: Optional[MomentSet]) -> list[str]:
-    if ms is None:
-        return ["", "", "", ""]
-    fmt = lambda v: "" if v is None else format(v, ".12g")
-    return [format(ms.mean, ".12g"), format(ms.variance, ".12g"), fmt(ms.skewness), fmt(ms.kurtosis)]
+    values = (None,) * 4 if ms is None else (ms.mean, ms.variance, ms.skewness, ms.kurtosis)
+    return [format_float(v) for v in values]
 
 
 def write_moment_series_csv(
     series: Sequence[MomentPoint], target: Union[str, Path, IO[str]]
 ) -> None:
     """Eight-column moment series; undefined moments are empty cells."""
-    with text_stream(target, "w") as stream:
-        writer = csv.writer(stream)
-        writer.writerow(
-            ["date", "mean_R", "var_R", "skew_R", "kurt_R",
-             "mean_T", "var_T", "skew_T", "kurt_T"]
-        )
-        for point in series:
-            writer.writerow([point.date.isoformat()] + _cells(point.ratings) + _cells(point.increments))
+    write_csv(
+        target,
+        ["date", "mean_R", "var_R", "skew_R", "kurt_R", "mean_T", "var_T", "skew_T", "kurt_T"],
+        ([p.date.isoformat()] + _cells(p.ratings) + _cells(p.increments) for p in series),
+    )

@@ -12,14 +12,16 @@ Two statistics per analysis window:
   cohort matrices.  A Markov process factorizes over subintervals, so
   persistent excursions from zero flag memory in the process.
 
-A rolling series takes the cross-sections, change counts and exposures
-of its windows in one pass over the panel per :data:`WINDOWS_PER_PASS`
-windows; only the 15x15 algebra is done window by window.
+A window is two day offsets into the panel's span; its half-window
+midpoint and its length in years are taken from them.  A rolling
+series takes the cross-sections, change counts and exposures of its
+windows in one pass over the panel per :data:`WINDOWS_PER_PASS`
+windows; only the 15x15 algebra is done window by window.  Series are
+written with :func:`textio.write_csv`.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +29,7 @@ from typing import IO, Union
 
 import numpy as np
 
-from .dates import month_starts, years_between
+from .dates import DAYS_PER_YEAR, month_starts
 from .estimation import (
     CountMatrix,
     TransitionMatrix,
@@ -39,7 +41,7 @@ from .estimation import (
     transitions_through,
 )
 from .panel import Panel
-from .textio import text_stream
+from .textio import format_float, write_csv
 
 __all__ = [
     "TestPoint",
@@ -128,15 +130,11 @@ def homogeneity_statistic(
     return float((n * (np.log(p) - np.log(p_e))).sum() / total)
 
 
-def _factorization_error(s0, sm, sf, t0: dt.date, tm: dt.date, tf: dt.date) -> float:
-    full = cohort_matrix(s0, sf, (t0, tf))
-    first = cohort_matrix(s0, sm, (t0, tm))
-    second = cohort_matrix(sm, sf, (tm, tf))
+def _factorization_error(s0, sm, sf) -> float:
+    full = cohort_matrix(s0, sf)
+    first = cohort_matrix(s0, sm)
+    second = cohort_matrix(sm, sf)
     return l2_norm(full.entries - first.entries @ second.entries)
-
-
-def _midpoint(t0: dt.date, tf: dt.date) -> dt.date:
-    return t0 + dt.timedelta(days=(tf - t0).days // 2)
 
 
 def ck_deviation(panel: Panel, t0: dt.date, tf: dt.date) -> float:
@@ -145,12 +143,10 @@ def ck_deviation(panel: Panel, t0: dt.date, tf: dt.date) -> float:
     With midpoint ``tm = t0 + (tf - t0) // 2`` days: the largest
     singular value of ``M(t0, tf) - M(t0, tm) @ M(tm, tf)``.
     """
-    days = (tf - t0).days
-    if days < 2:
-        raise ValueError(f"window must span at least 2 days, got {days}")
-    tm = _midpoint(t0, tf)
-    s0, sm, sf = panel.states_at_many([(t - panel.span[0]).days for t in (t0, tm, tf)])
-    return _factorization_error(s0, sm, sf, t0, tm, tf)
+    a, b = panel.window_days(t0, tf)
+    if b - a < 2:
+        raise ValueError(f"window must span at least 2 days, got {b - a}")
+    return _factorization_error(*panel.states_at_many([a, (a + b) // 2, b]))
 
 
 def rolling_series(panel: Panel, statistic: str, window_length: str = "year") -> TestSeries:
@@ -178,32 +174,31 @@ def rolling_series(panel: Panel, statistic: str, window_length: str = "year") ->
 
 def _series_points(panel: Panel, statistic: str, starts: list, months: int) -> list[TestPoint]:
     """The points of the windows from ``starts[k]`` to ``starts[k + months]``."""
-    windows = list(zip(starts, starts[months:]))
     grid = [panel.day_offset(t) for t in starts]
     through = transitions_through(panel, grid)
     if statistic == "homogeneity_L":
         before = bank_days_before(panel, grid)
-        mids = []
+        mid_days = []
     else:
-        mids = [_midpoint(t0, tf) for t0, tf in windows]
-    mid_days = [panel.day_offset(t) for t in mids]
+        mid_days = [(a + b) // 2 for a, b in zip(grid, grid[months:])]
     # Distinct ascending days give the block without a reordering copy.
     days = np.unique(np.array(grid + mid_days, dtype=np.int64))
     states = panel.states_at_many(days)
     at = np.searchsorted(days, grid).tolist()
     mid_at = np.searchsorted(days, mid_days).tolist()
     points = []
-    for k, (t0, tf) in enumerate(windows):
-        counts = CountMatrix(window=(t0, tf), counts=through[k + months] - through[k])
+    for k, (t0, tf) in enumerate(zip(starts, starts[months:])):
+        counts = CountMatrix(counts=through[k + months] - through[k])
         s0, sf = states[at[k]], states[at[k + months]]
         if statistic == "homogeneity_L":
             if counts.total == 0:
                 continue
-            exposure = exposure_vector(before[k + months] - before[k], (t0, tf))
-            m = matrix_exponential(estimate_generator(counts, exposure), years_between(t0, tf))
-            value = homogeneity_statistic(m, cohort_matrix(s0, sf, (t0, tf)), counts)
+            exposure = exposure_vector(before[k + months] - before[k])
+            years = (grid[k + months] - grid[k]) / DAYS_PER_YEAR
+            m = matrix_exponential(estimate_generator(counts, exposure), years)
+            value = homogeneity_statistic(m, cohort_matrix(s0, sf), counts)
         else:
-            value = _factorization_error(s0, states[mid_at[k]], sf, t0, mids[k], tf)
+            value = _factorization_error(s0, states[mid_at[k]], sf)
         points.append(
             TestPoint(window_start=t0, window_end=tf, value=value, n_transitions=counts.total)
         )
@@ -212,19 +207,10 @@ def _series_points(panel: Panel, statistic: str, starts: list, months: int) -> l
 
 def write_test_series_csv(series: TestSeries, target: Union[str, Path, IO[str]]) -> None:
     """CSV: ``window_start,window_end,statistic,value,abs_value,n_transitions``."""
-    with text_stream(target, "w") as stream:
-        writer = csv.writer(stream)
-        writer.writerow(
-            ["window_start", "window_end", "statistic", "value", "abs_value", "n_transitions"]
-        )
-        for p in series.points:
-            writer.writerow(
-                [
-                    p.window_start.isoformat(),
-                    p.window_end.isoformat(),
-                    series.statistic,
-                    format(p.value, ".12g"),
-                    format(abs(p.value), ".12g"),
-                    p.n_transitions,
-                ]
-            )
+    header = ["window_start", "window_end", "statistic", "value", "abs_value", "n_transitions"]
+    rows = (
+        [p.window_start.isoformat(), p.window_end.isoformat(), series.statistic,
+         format_float(p.value), format_float(abs(p.value)), p.n_transitions]
+        for p in series.points
+    )
+    write_csv(target, header, rows)

@@ -6,13 +6,16 @@ in bank-years; the diagonal is fixed by zero row sums.  The matching
 probability matrix over the window is the exponential of the estimated
 generator scaled by the window length in years.  The cohort estimator
 is the model-free alternative built from start/end state pairs.
+
+A window is two day offsets into the panel's span, taken once from its
+dates by :meth:`Panel.window_days`; the matrices carry no window of
+their own.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -39,25 +42,14 @@ ROW_SUM_TOL = 1e-9
 ENTRY_TOL = 1e-12
 GENERATOR_ROW_SUM_TOL = 1e-12
 
-Window = tuple[dt.date, dt.date]
-
-
-def _check_window(window: Window) -> Window:
-    t0, tf = window
-    if tf <= t0:
-        raise ValueError(f"invalid window: start {t0} not before end {tf}")
-    return window
-
 
 @dataclass(frozen=True)
 class CountMatrix:
     """Off-diagonal state-change counts inside a window (diagonal is zero)."""
 
-    window: Window
     counts: np.ndarray
 
     def __post_init__(self):
-        _check_window(self.window)
         c = np.asarray(self.counts, dtype=np.int64)
         if c.shape != (N_STATES, N_STATES):
             raise ValueError(f"counts must be {N_STATES}x{N_STATES}")
@@ -76,11 +68,9 @@ class CountMatrix:
 class ExposureVector:
     """Per-state occupancy inside a window, in bank-years."""
 
-    window: Window
     exposure: np.ndarray
 
     def __post_init__(self):
-        _check_window(self.window)
         e = np.asarray(self.exposure, dtype=np.float64)
         if e.shape != (N_STATES,):
             raise ValueError(f"exposure must have length {N_STATES}")
@@ -91,14 +81,11 @@ class ExposureVector:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-stochastic probability matrix, optionally tied to a window."""
+    """Row-stochastic probability matrix."""
 
     entries: np.ndarray
-    window: Optional[Window] = None
 
     def __post_init__(self):
-        if self.window is not None:
-            _check_window(self.window)
         m = np.asarray(self.entries, dtype=np.float64)
         if m.shape != (N_STATES, N_STATES):
             raise ValueError(f"entries must be {N_STATES}x{N_STATES}")
@@ -116,8 +103,8 @@ class TransitionMatrix:
 class GeneratorMatrix:
     """Intensity matrix: nonnegative off-diagonal, zero row sums; per year.
 
-    A row sum may deviate from 0 by 1e-12 times the row's absolute sum,
-    or by 1e-12 when that sum is at most 1.
+    A row sum may deviate from 0 by 1e-12 times the row's largest
+    entry magnitude, or by 1e-12 when that is at most 1.
     """
 
     entries: np.ndarray
@@ -131,9 +118,11 @@ class GeneratorMatrix:
         off = q[~np.eye(N_STATES, dtype=bool)]
         if off.min() < 0.0:
             raise ValueError("negative off-diagonal rate")
-        # Roundoff in a row sum grows with the row's magnitude.
-        row_err = np.abs(q.sum(axis=1))
-        if np.any(row_err > GENERATOR_ROW_SUM_TOL * np.maximum(np.abs(q).sum(axis=1), 1.0)):
+        # Roundoff in a row sum grows with the row's magnitude, here its largest
+        # entry, which cannot overflow; an overflowing row sum is inf and fails.
+        with np.errstate(over="ignore"):
+            row_err = np.abs(q.sum(axis=1))
+        if np.any(row_err > GENERATOR_ROW_SUM_TOL * np.maximum(np.abs(q).max(axis=1), 1.0)):
             raise ValueError(f"row sums deviate from 0 by {row_err.max():.3e}")
         object.__setattr__(self, "entries", q)
 
@@ -186,9 +175,8 @@ def count_transitions(panel: Panel, t0: dt.date, tf: dt.date) -> CountMatrix:
     A path 5 -> 4 -> 3 inside the window contributes two counts, one per
     recorded state change, never a single 5 -> 3 entry.
     """
-    _check_window((t0, tf))
-    through = transitions_through(panel, [panel.day_offset(t0), panel.day_offset(tf)])
-    return CountMatrix(window=(t0, tf), counts=through[1] - through[0])
+    through = transitions_through(panel, panel.window_days(t0, tf))
+    return CountMatrix(counts=through[1] - through[0])
 
 
 def exposures(panel: Panel, t0: dt.date, tf: dt.date) -> ExposureVector:
@@ -197,14 +185,13 @@ def exposures(panel: Panel, t0: dt.date, tf: dt.date) -> ExposureVector:
     Daily left-endpoint Riemann sum: each day ``t0 <= d < tf`` a bank is
     rated contributes 1/365 of a bank-year to its state on that day.
     """
-    _check_window((t0, tf))
-    before = bank_days_before(panel, [panel.day_offset(t0), panel.day_offset(tf)])
-    return exposure_vector(before[1] - before[0], (t0, tf))
+    before = bank_days_before(panel, panel.window_days(t0, tf))
+    return exposure_vector(before[1] - before[0])
 
 
-def exposure_vector(bank_days: np.ndarray, window: Window) -> ExposureVector:
+def exposure_vector(bank_days: np.ndarray) -> ExposureVector:
     """Exposure from integer bank-days per state, converted to bank-years."""
-    return ExposureVector(window=window, exposure=bank_days / DAYS_PER_YEAR)
+    return ExposureVector(exposure=bank_days / DAYS_PER_YEAR)
 
 
 def estimate_generator(counts: CountMatrix, exposure: ExposureVector) -> GeneratorMatrix:
@@ -252,12 +239,11 @@ def empirical_transition_matrix(panel: Panel, t0: dt.date, tf: dt.date) -> Trans
     ``tf``, the fraction ending in each state.  Rows with an empty
     cohort are identity rows, keeping the matrix stochastic.
     """
-    _check_window((t0, tf))
-    start, end = panel.states_at_many([(t - panel.span[0]).days for t in (t0, tf)])
-    return cohort_matrix(start, end, (t0, tf))
+    start, end = panel.states_at_many(panel.window_days(t0, tf))
+    return cohort_matrix(start, end)
 
 
-def cohort_matrix(start: np.ndarray, end: np.ndarray, window: Window) -> TransitionMatrix:
+def cohort_matrix(start: np.ndarray, end: np.ndarray) -> TransitionMatrix:
     """Cohort matrix from the cross-sections on a window's two ends (-1: unrated)."""
     both = (start >= 0) & (end >= 0)
     # Widen before scaling: int8 cross-sections would wrap at 14 * 15.
@@ -267,4 +253,4 @@ def cohort_matrix(start: np.ndarray, end: np.ndarray, window: Window) -> Transit
     m = np.eye(N_STATES, dtype=np.float64)
     occupied = totals > 0
     m[occupied] = counts[occupied] / totals[occupied, None]
-    return TransitionMatrix(entries=m, window=window)
+    return TransitionMatrix(entries=m)

@@ -30,7 +30,7 @@ from .dates import parse_iso_date
 from .errors import DataFormatError, SpanError
 from .panel import Panel
 from .scale import N_STATES, RATING_LABELS, WITHDRAWN_LABEL
-from .textio import Target as Source, text_stream
+from .textio import Target as Source, format_float, text_stream, write_csv
 
 __all__ = [
     "parse_panel",
@@ -261,12 +261,8 @@ def write_panel_csv(panel: Panel, target: Union[str, Path, IO[str]]) -> None:
     state = np.insert(panel.event_state, at, WITHDRAWN).tolist()
     dates = (np.datetime64(panel.span[0], "D") + day).astype(str).tolist()
     labels = RATING_LABELS + (WITHDRAWN_LABEL,)
-    with text_stream(target, "w") as stream:
-        writer = csv.writer(stream)
-        writer.writerow(HEADER)
-        writer.writerows(
-            zip([panel.bank_ids[k] for k in bank], dates, [labels[s] for s in state])
-        )
+    ids = [panel.bank_ids[k] for k in bank]
+    write_csv(target, HEADER, zip(ids, dates, [labels[s] for s in state]))
 
 
 def _rated_per_day(panel: Panel) -> np.ndarray:
@@ -318,8 +314,4 @@ def write_count_series_csv(
     series: Iterable[tuple[dt.date, float]], target: Union[str, Path, IO[str]]
 ) -> None:
     """Write a ``date,value`` series; one row per day."""
-    with text_stream(target, "w") as stream:
-        writer = csv.writer(stream)
-        writer.writerow(["date", "value"])
-        for day, value in series:
-            writer.writerow([day.isoformat(), format(value, ".12g")])
+    write_csv(target, ["date", "value"], ((day.isoformat(), format_float(v)) for day, v in series))

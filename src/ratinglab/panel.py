@@ -81,6 +81,13 @@ class Panel:
             raise ValueError(f"date {t} outside span [{self.span[0]}, {self.span[1]}]")
         return off
 
+    def window_days(self, t0: dt.date, tf: dt.date) -> tuple[int, int]:
+        """The day offsets of a window's ends; raises unless ``t0 < tf`` inside the span."""
+        a, b = self.day_offset(t0), self.day_offset(tf)
+        if b <= a:
+            raise ValueError(f"invalid window: start {t0} not before end {tf}")
+        return a, b
+
     # -- passes over the arrays ---------------------------------------
 
     def transitions(self) -> np.ndarray:

@@ -23,11 +23,12 @@ with the new rates (exact for exponential clocks).  Jump times are
 recorded at whole days; a jump that would land on its bank's previous
 event day is re-drawn from the same time.  After ``COLLISION_LIMIT``
 re-draws in a row the bank instead draws once from ``m = min(last day
-+ 1/2, segment end)``: the re-draws stop at the first time at or past
-``m``, and holding times are memoryless, so that time is ``m`` plus an
++ 1/2, segment end)``, and from then on it does so after each of its
+collisions: the re-draws stop at the first time at or past ``m``, and
+holding times are memoryless, so that time is ``m`` plus an
 exponential holding time either way.  The rule keeps the process and
 changes no bytes unless a bank collides that often; at tens of jumps a
-day it is what lets the loop finish.
+day it is what lets the loop finish, in a few steps per day.
 
 The loop runs in lockstep over blocks of ``BANKS_PER_BLOCK`` banks:
 each step, every bank still inside the span rests to its segment end
@@ -77,7 +78,7 @@ KINDS = ("homogeneous", "regime_switch", "excited")
 
 # Banks stepped together; banks are independent, so the bytes do not depend on it.
 BANKS_PER_BLOCK = 4096
-# Consecutive same-day re-draws after which a bank draws once past the collision.
+# Consecutive same-day re-draws after which a bank draws past each of its collisions.
 COLLISION_LIMIT = 64
 
 
@@ -348,6 +349,7 @@ def _simulate_block(
     last_day = t.copy()
     excite_until = np.full(bank.size, -np.inf)
     collisions = np.zeros(bank.size, dtype=np.int64)
+    limit = np.full(bank.size, COLLISION_LIMIT)  # 1 once a bank has reached the limit
     with np.errstate(over="ignore"):  # a tiny exit rate gives an infinite holding time
         while bank.size:
             regime = np.searchsorted(bounds, t, side="right") - 1
@@ -358,8 +360,9 @@ def _simulate_block(
             # lanes at rest (λ = 0) skip to the segment end without a draw
             x = np.full(bank.size, np.inf)
             draw = np.flatnonzero(lam > 0.0)
+            limit = np.where(collisions >= limit, 1, limit)
             origin = np.where(
-                collisions[draw] < COLLISION_LIMIT,
+                collisions[draw] < limit[draw],
                 t[draw],
                 np.minimum(last_day[draw] + 0.5, seg_end[draw]),
             )
@@ -386,6 +389,7 @@ def _simulate_block(
             if not alive.all():
                 bank, t, state, last_day = bank[alive], t[alive], state[alive], last_day[alive]
                 excite_until, collisions = excite_until[alive], collisions[alive]
+                limit = limit[alive]
                 streams = streams[:, alive]
 
     bank = np.concatenate(event_bank)

@@ -1,11 +1,12 @@
-"""The one place that turns a path-or-stream argument into a text stream."""
+"""The one place that turns a path-or-stream argument into a text stream, and the one CSV writer."""
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 from pathlib import Path
-from typing import IO, Iterator, Union
+from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 Target = Union[str, Path, IO[str], IO[bytes]]
 
@@ -30,3 +31,16 @@ def text_stream(target: Target, mode: str = "r") -> Iterator[IO[str]]:
             wrapper.detach()
     else:
         yield target
+
+
+def write_csv(target: Target, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and ``rows`` as CSV, cells as given (floats via :func:`format_float`)."""
+    with text_stream(target, "w") as stream:
+        writer = csv.writer(stream)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def format_float(value: Optional[float]) -> str:
+    """A CSV cell for a number: 12 significant digits, ``None`` as an empty cell."""
+    return "" if value is None else format(value, ".12g")

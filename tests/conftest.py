@@ -5,8 +5,10 @@ import time
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 import ratinglab as rl
+from ratinglab.dates import month_starts
 
 settings.register_profile(
     "suite",
@@ -47,6 +49,33 @@ def raw_histories(panel):
         events = [(day(d), int(s)) for d, s in zip(panel.event_day[a:b], panel.event_state[a:b])]
         out.append((events, day(panel.coverage_end[k])))
     return out
+
+
+@st.composite
+def mid_month_panels(draw):
+    """Up to five banks, some withdrawn, over a span of 20 days to 3 years
+    that starts mid-month; many events and coverage ends fall on or next
+    to a month start."""
+    start = dt.date(2007, draw(st.integers(1, 12)), draw(st.integers(2, 28)))
+    n_days = draw(st.integers(20, 3 * 365))
+    day = lambda off: start + dt.timedelta(days=off)
+    edges = [
+        (t - start).days + e
+        for t in month_starts(start, day(n_days))
+        for e in (-1, 0)
+        if (t - start).days + e >= 0
+    ]
+    offset = st.integers(0, n_days) | st.sampled_from(edges or [0])
+    specs = []
+    for k in range(draw(st.integers(0, 5))):
+        offs = sorted(draw(st.sets(offset, min_size=1, max_size=8)))
+        states = [draw(st.integers(0, 14))]
+        for _ in offs[1:]:
+            states.append((states[-1] + draw(st.integers(1, 14))) % 15)
+        cov = draw(st.none() | offset.filter(lambda o: o >= offs[-1]))
+        events = [(day(o), s) for o, s in zip(offs, states)]
+        specs.append((f"b{k}", events, None if cov is None else day(cov)))
+    return make_panel((start, day(n_days)), specs)
 
 
 @pytest.fixture(scope="session")

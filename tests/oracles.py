@@ -221,7 +221,8 @@ def simulate_events(generators, end, n_banks, seed, initial, gamma=1.0, memory_d
     each of its downgrades.  A jump landing on the bank's previous
     event day is re-drawn from the same time; after ``collision_limit``
     re-draws in a row the next draw starts from ``min(last day + 1/2,
-    segment end)``.  Returns (offsets, day offsets, states) lists in
+    segment end)``, and so does the bank's draw after each later
+    collision.  Returns (offsets, day offsets, states) lists in
     the panel's compressed-sparse-row layout.
     """
     bounds = [float(day) for day, _ in generators] + [float(end)]
@@ -247,7 +248,7 @@ def simulate_events(generators, end, n_banks, seed, initial, gamma=1.0, memory_d
         states.append(state)
         last_day, t = day0, bounds[0]
         excite_until = -math.inf
-        collisions = 0
+        collisions, limit = 0, collision_limit
         while t < bounds[-1]:
             regime = bisect.bisect_right(bounds, t) - 1
             excited = t < excite_until
@@ -257,7 +258,10 @@ def simulate_events(generators, end, n_banks, seed, initial, gamma=1.0, memory_d
             if lam <= 0.0:
                 t, collisions = seg_end, 0
                 continue
-            origin = t if collisions < collision_limit else min(last_day + 0.5, seg_end)
+            if collisions < limit:
+                origin = t
+            else:
+                origin, limit = min(last_day + 0.5, seg_end), 1
             x = origin - math.log(1.0 - rng.random()) / lam
             if x >= seg_end:
                 t, collisions = seg_end, 0

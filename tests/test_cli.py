@@ -457,15 +457,22 @@ def test_simulate_large_rates_pass_generator_validation(tmp_path, capsys, kind, 
 
 
 @pytest.mark.parametrize(
-    "end, rate_scale",
-    [("2007-01-03", "30000"), ("2007-01-10", "1e300")],
+    "start, end, rate_scale",
+    [
+        ("2007-01-01", "2007-01-03", "30000"),
+        ("2007-01-01", "2007-01-10", "1e300"),
+        # every day collides: 64 re-draws once, then one after each jump
+        ("2000-01-01", "2040-01-01", "1e308"),
+    ],
+    ids=["2007-01-03-30000", "2007-01-10-1e300", "2040-01-01-1e308"],
 )
-def test_simulate_extreme_rates_finish(tmp_path, end, rate_scale):
+def test_simulate_extreme_rates_finish(tmp_path, start, end, rate_scale):
     # at these rates nearly every jump lands on the bank's last event
-    # day; after 64 re-draws in a row the bank draws past that day
+    # day; after 64 re-draws in a row the bank draws past that day, as
+    # it does after each of its later collisions
     scen_path = tmp_path / "scen.txt"
     scen_path.write_text(
-        "kind = homogeneous\nn_banks = 1\nstart = 2007-01-01\n"
+        f"kind = homogeneous\nn_banks = 1\nstart = {start}\n"
         f"end = {end}\nseed = 1\nrate_scale = {rate_scale}\n",
         encoding="utf-8",
     )
@@ -476,7 +483,7 @@ def test_simulate_extreme_rates_finish(tmp_path, end, rate_scale):
         capture_output=True, text=True, timeout=30, env=SUBPROCESS_ENV,
     )
     assert (done.returncode, done.stderr) == (0, "")
-    panel = rl.parse_panel(out, (D(2007, 1, 1), D.fromisoformat(end)))
+    panel = rl.parse_panel(out, (D.fromisoformat(start), D.fromisoformat(end)))
     assert panel.n_banks == 1 and panel.event_day.size >= 2
 
 
@@ -627,3 +634,70 @@ def test_fuzz_panel_bytes_exit_cleanly(data):
             else:
                 assert err.getvalue().startswith("ratinglab: error: ")
                 assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+_SPAN_STARTS = [D(1, 1, 1), D(2007, 1, 1), D(9995, 1, 1)]
+_RATES = (["0", "-0.0", "0.5", "7", "1e308", "1e-320"], ["nan", "inf", "-inf", "1e400", "-1"])
+
+
+@st.composite
+def _scenario_texts(draw):
+    """Scenario files built from pools of keys and values: kinds, up to 20
+    banks, spans of up to 5 years reaching 0001-01-01 or 9999-12-31,
+    extreme rates, huge seeds and memory, malformed values, and missing,
+    unknown or duplicate keys.  Each key takes a malformed value now and
+    then, so that some scenarios get as far as simulating."""
+    start = draw(st.sampled_from(_SPAN_STARTS))
+    days = draw(st.sampled_from([0, 1, 2, 31, 366, 5 * 365 + 1]))
+    end = start + dt.timedelta(days=min(days, (D(9999, 12, 31) - start).days))
+    switch = start + dt.timedelta(days=draw(st.integers(0, (end - start).days)))
+    pools = {  # key: (well-formed values, malformed or out-of-range values)
+        "kind": (["homogeneous", "regime_switch", "excited"], ["static", ""]),
+        "n_banks": (["0", "1", "3", "20"], ["-1", "2.5"]),
+        "start": ([start.isoformat()], ["2007-02-30"]),
+        "end": ([end.isoformat()], ["0001-01-01", "2007-13-01"]),
+        "seed": (["0", "1", str(2**64), str(10**30)], ["-3", "x"]),
+        "rate_scale": _RATES,
+        "generator_seed": (["0", str(2**64 + 1)], ["-1"]),
+        "switch_date": ([switch.isoformat()], ["9999-12-31", "0001-01-01", "soon"]),
+        "switch_multiplier": _RATES,
+        "gamma": (["0.5", "7", "1e308", "1e-320"], ["0", "-0.0", "nan", "inf", "1e400"]),
+        "memory_days": (["1", "90", "9" * 401], ["0", "-5", "1.5"]),
+        "initial": (
+            ["uniform", "state:0", "state:14", ",".join(["0"] * 14 + ["1"])],
+            ["state:15", "state:x", "", "1,0", ",".join(["nan"] * 15), ",".join(["1e308"] * 15)],
+        ),
+    }
+    required = ["kind", "n_banks", "start", "end", "seed", "rate_scale"]
+    optional = [key for key in pools if key not in required]
+    keys = [key for key in required if draw(st.integers(0, 19)) < 19]  # now and then one is missing
+    keys += draw(st.lists(st.sampled_from(optional), max_size=4, unique=True))
+    if keys and draw(st.integers(0, 9)) == 9:
+        keys.append(draw(st.sampled_from(keys)))  # a duplicate
+    lines = []
+    for key in keys:
+        good, bad = pools[key]
+        lines.append(f"{key} = {draw(st.sampled_from(bad if draw(st.integers(0, 7)) == 7 else good))}")
+    if draw(st.integers(0, 9)) == 9:
+        lines.append("bogus = 1")  # an unknown key
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+@settings(max_examples=80, deadline=dt.timedelta(seconds=20))
+@given(text=_scenario_texts(), seed=st.sampled_from([None, "0", str(2**64), str(2**70 + 5)]))
+def test_fuzz_scenario_text_exits_cleanly(text, seed):
+    # every scenario file ends in exit 0, 1 or 2 with at most one error line
+    with tempfile.TemporaryDirectory() as tmp:
+        scen_path = Path(tmp) / "scen.txt"
+        scen_path.write_text(text, encoding="utf-8")
+        argv = ["simulate", "--scenario", str(scen_path), "--output", str(Path(tmp) / "x.csv")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(*argv, *(["--seed", seed] if seed is not None else []))
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().startswith("ratinglab: error: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

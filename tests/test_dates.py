@@ -8,7 +8,6 @@ from ratinglab.dates import (
     DAYS_PER_YEAR,
     month_starts,
     parse_iso_date,
-    years_between,
 )
 from oracles import add_months
 
@@ -90,10 +89,3 @@ def test_month_starts_properties(start, days):
         if probe >= start:
             assert probe in got
         probe = add_months(probe, 1)
-
-
-def test_years_between():
-    assert years_between(dt.date(2007, 1, 1), dt.date(2008, 1, 1)) == 1.0
-    assert years_between(dt.date(2007, 1, 1), dt.date(2007, 1, 1)) == 0.0
-    got = years_between(dt.date(2007, 1, 1), dt.date(2007, 2, 1))
-    assert got == pytest.approx(31 / 365)

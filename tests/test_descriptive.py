@@ -1,6 +1,7 @@
 import datetime as dt
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ratinglab as rl
+import ratinglab.descriptive as descriptive
 from ratinglab.dates import month_starts
 from oracles import elementwise_moments, state_on, two_pass_moments
 
-from conftest import cross_section, make_panel, raw_histories
+from conftest import cross_section, make_panel, mid_month_panels, raw_histories
 
 D = dt.date
 
@@ -254,6 +256,15 @@ def test_moment_series_matches_naive_recomputation(homogeneous_panel):
 
 
 # -- CSV --------------------------------------------------------------
+
+
+@given(mid_month_panels(), st.integers(1, 800), st.sampled_from([1, 3, 600]))
+def test_moment_series_passes_match_one_pass(panel, tau, per_pass):
+    # lags of up to 800 days reach before the span start, where every bank is unrated
+    with mock.patch.object(descriptive, "DATES_PER_PASS", 10**9):
+        whole = rl.moment_series(panel, tau=tau)
+    with mock.patch.object(descriptive, "DATES_PER_PASS", per_pass):
+        assert rl.moment_series(panel, tau=tau) == whole
 
 
 def test_moment_series_csv_cells():

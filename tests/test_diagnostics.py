@@ -13,11 +13,10 @@ import ratinglab.diagnostics as diagnostics
 from ratinglab.dates import month_starts
 from oracles import cohort_matrix, sigma_max, window_counts_exposures
 
-from conftest import make_panel, raw_histories
+from conftest import make_panel, mid_month_panels, raw_histories
 
 D = dt.date
 SPAN = (D(2007, 1, 1), D(2009, 12, 31))
-W = (D(2007, 1, 1), D(2008, 1, 1))
 
 
 # -- l2_norm ----------------------------------------------------------
@@ -80,7 +79,7 @@ def test_homogeneity_zero_when_counted_entries_agree():
     value = rl.homogeneity_statistic(
         rl.TransitionMatrix(entries=m),
         rl.TransitionMatrix(entries=m_e),
-        rl.CountMatrix(window=W, counts=counts),
+        rl.CountMatrix(counts=counts),
     )
     assert value == 0.0
 
@@ -94,7 +93,7 @@ def test_homogeneity_single_transition_unit_value():
     value = rl.homogeneity_statistic(
         rl.TransitionMatrix(entries=m),
         rl.TransitionMatrix(entries=m_e),
-        rl.CountMatrix(window=W, counts=counts),
+        rl.CountMatrix(counts=counts),
     )
     assert value == pytest.approx(1.0, rel=1e-12)
 
@@ -108,14 +107,14 @@ def test_homogeneity_count_weighted_average():
     value = rl.homogeneity_statistic(
         rl.TransitionMatrix(entries=m),
         rl.TransitionMatrix(entries=m_e),
-        rl.CountMatrix(window=W, counts=counts),
+        rl.CountMatrix(counts=counts),
     )
     want = (3 * 1.0 + 1 * math.log(0.1 / 0.4)) / 4
     assert value == pytest.approx(want, rel=1e-12)
 
 
 def test_homogeneity_requires_transitions():
-    counts = rl.CountMatrix(window=W, counts=np.zeros((15, 15), dtype=np.int64))
+    counts = rl.CountMatrix(counts=np.zeros((15, 15), dtype=np.int64))
     eye = rl.TransitionMatrix(entries=np.eye(15))
     with pytest.raises(ValueError):
         rl.homogeneity_statistic(eye, eye, counts)
@@ -130,7 +129,7 @@ def test_homogeneity_floors_empty_cells():
     value = rl.homogeneity_statistic(
         rl.TransitionMatrix(entries=m),
         rl.TransitionMatrix(entries=m_e),
-        rl.CountMatrix(window=W, counts=counts),
+        rl.CountMatrix(counts=counts),
     )
     assert math.isfinite(value)
     assert value == pytest.approx(math.log(0.1) - math.log(1e-12), rel=1e-12)
@@ -280,47 +279,20 @@ def test_rolling_magnitudes_sane(homogeneous_panel):
     assert float(ck.values.max()) < 1.0
 
 
-@st.composite
-def mid_month_panels(draw):
-    """Up to five banks, some withdrawn, over a span of 20 days to 3 years
-    that starts mid-month; many events and coverage ends fall on or next
-    to a month start."""
-    start = D(2007, draw(st.integers(1, 12)), draw(st.integers(2, 28)))
-    n_days = draw(st.integers(20, 3 * 365))
-    day = lambda off: start + dt.timedelta(days=off)
-    edges = [
-        (t - start).days + e
-        for t in month_starts(start, day(n_days))
-        for e in (-1, 0)
-        if (t - start).days + e >= 0
-    ]
-    offset = st.integers(0, n_days) | st.sampled_from(edges or [0])
-    specs = []
-    for k in range(draw(st.integers(0, 5))):
-        offs = sorted(draw(st.sets(offset, min_size=1, max_size=8)))
-        states = [draw(st.integers(0, 14))]
-        for _ in offs[1:]:
-            states.append((states[-1] + draw(st.integers(1, 14))) % 15)
-        cov = draw(st.none() | offset.filter(lambda o: o >= offs[-1]))
-        events = [(day(o), s) for o, s in zip(offs, states)]
-        specs.append((f"b{k}", events, None if cov is None else day(cov)))
-    return make_panel((start, day(n_days)), specs)
-
-
 @given(mid_month_panels(), st.sampled_from(["month", "year"]), st.sampled_from([1, 3, 600]))
 def test_rolling_series_windows_match_oracles(panel, window, per_pass):
-    # Record what every window hands to the per-window algebra, taking
-    # the windows in passes of 1, 3 or all.
+    # Record what every window hands to the per-window algebra, in call
+    # order, taking the windows in passes of 1, 3 or all.
     fit, cohort = diagnostics.estimate_generator, diagnostics.cohort_matrix
-    fits, cohorts = {}, []
+    fits, cohorts = [], []
 
     def spy_fit(counts, exposure):
-        fits[counts.window] = (counts.counts, exposure.exposure)
+        fits.append((counts.counts, exposure.exposure))
         return fit(counts, exposure)
 
-    def spy_cohort(start, end, w):
-        cohorts.append(cohort(start, end, w))
-        return cohorts[-1]
+    def spy_cohort(start, end):
+        cohorts.append(cohort(start, end).entries)
+        return cohort(start, end)
 
     with mock.patch.multiple(
         diagnostics,
@@ -335,17 +307,26 @@ def test_rolling_series_windows_match_oracles(panel, window, per_pass):
     starts = month_starts(*panel.span)
     windows = list(zip(starts, starts[diagnostics.WINDOW_MONTHS[window] :]))
     assert [(p.window_start, p.window_end) for p in ck.points] == windows
+    fitted, cohort_windows = [], []
     for (t0, tf), point in zip(windows, ck.points):
         counts, exposure = window_counts_exposures(hist, t0, tf)
         assert point.n_transitions == counts.sum()
         if counts.sum():
-            got_counts, got_exposure = fits.pop((t0, tf))
-            assert np.array_equal(got_counts, counts)
-            assert np.array_equal(got_exposure, exposure)
-    assert not fits  # windows without transitions are not fitted
-    assert len(cohorts) == len(homogeneity.points) + 3 * len(ck.points)
-    for m in cohorts:
-        assert np.array_equal(m.entries, cohort_matrix(hist, *m.window))
+            fitted.append((counts, exposure))
+            cohort_windows.append((t0, tf))
+    # ck takes the full window and its two halves, split at the floor midpoint
+    for t0, tf in windows:
+        tm = t0 + dt.timedelta(days=(tf - t0).days // 2)
+        cohort_windows += [(t0, tf), (t0, tm), (tm, tf)]
+    homogeneity_windows = [(p.window_start, p.window_end) for p in homogeneity.points]
+    assert homogeneity_windows == cohort_windows[: len(fitted)]
+    assert len(fits) == len(fitted)  # windows without transitions are not fitted
+    for (got_counts, got_exposure), (counts, exposure) in zip(fits, fitted):
+        assert np.array_equal(got_counts, counts)
+        assert np.array_equal(got_exposure, exposure)
+    assert len(cohorts) == len(cohort_windows)
+    for m, (t0, tf) in zip(cohorts, cohort_windows):
+        assert np.array_equal(m, cohort_matrix(hist, t0, tf))
 
 
 def test_rolling_rejects_unknown_names():

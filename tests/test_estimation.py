@@ -64,13 +64,31 @@ def test_counts_rejects_bad_window():
         rl.count_transitions(p, D(2008, 1, 1), D(2007, 1, 1))
 
 
+@pytest.mark.parametrize(
+    "entry", [rl.count_transitions, rl.exposures, rl.empirical_transition_matrix, rl.ck_deviation]
+)
+@pytest.mark.parametrize(
+    "t0, tf",
+    [
+        (D(2009, 1, 1), D(2010, 1, 1)),  # ends after the span
+        (D(2006, 12, 31), D(2007, 6, 1)),  # starts before it
+        (D(2010, 1, 1), D(2011, 1, 1)),  # wholly past it
+    ],
+    ids=["ends_after", "starts_before", "wholly_after"],
+)
+def test_single_window_entry_points_reject_windows_outside_the_span(entry, t0, tf):
+    p = make_panel(SPAN, [("b1", [(SPAN[0], 5), (D(2008, 6, 1), 4)], None)])
+    with pytest.raises(ValueError, match="outside span"):
+        entry(p, t0, tf)
+
+
 def test_count_matrix_validation():
     bad = np.zeros((15, 15), dtype=np.int64)
     bad[3, 3] = 1
     with pytest.raises(ValueError):
-        rl.CountMatrix(window=(D(2007, 1, 1), D(2008, 1, 1)), counts=bad)
+        rl.CountMatrix(counts=bad)
     with pytest.raises(ValueError):
-        rl.CountMatrix(window=(D(2007, 1, 1), D(2008, 1, 1)), counts=np.zeros((14, 15)))
+        rl.CountMatrix(counts=np.zeros((14, 15)))
 
 
 # -- exposures --------------------------------------------------------
@@ -118,17 +136,13 @@ def test_exposure_left_endpoint_convention():
 # -- estimate_generator -----------------------------------------------
 
 
-def window():
-    return (D(2007, 1, 1), D(2008, 1, 1))
-
-
 def test_estimator_direct_substitution():
     counts = np.zeros((15, 15), dtype=np.int64)
     counts[5, 4] = 1
     expo = np.zeros(15)
     expo[5] = 2.0
     q = rl.estimate_generator(
-        rl.CountMatrix(window(), counts), rl.ExposureVector(window(), expo)
+        rl.CountMatrix(counts), rl.ExposureVector(expo)
     )
     assert q.entries[5, 4] == pytest.approx(0.5)
     assert q.entries[5, 5] == pytest.approx(-0.5)
@@ -137,8 +151,8 @@ def test_estimator_direct_substitution():
 def test_estimator_zero_counts():
     expo = np.full(15, 3.0)
     q = rl.estimate_generator(
-        rl.CountMatrix(window(), np.zeros((15, 15), dtype=np.int64)),
-        rl.ExposureVector(window(), expo),
+        rl.CountMatrix(np.zeros((15, 15), dtype=np.int64)),
+        rl.ExposureVector(expo),
     )
     assert np.all(q.entries == 0.0)
 
@@ -150,7 +164,7 @@ def test_estimator_row_sum_identity():
     expo = np.zeros(15)
     expo[8] = 0.5
     q = rl.estimate_generator(
-        rl.CountMatrix(window(), counts), rl.ExposureVector(window(), expo)
+        rl.CountMatrix(counts), rl.ExposureVector(expo)
     )
     assert q.entries[8, 9] == pytest.approx(6.0)
     assert q.entries[8, 2] == pytest.approx(2.0)
@@ -163,7 +177,7 @@ def test_estimator_zero_exposure_row_is_zero():
     expo = np.zeros(15)
     expo[0] = 1.0
     q = rl.estimate_generator(
-        rl.CountMatrix(window(), counts), rl.ExposureVector(window(), expo)
+        rl.CountMatrix(counts), rl.ExposureVector(expo)
     )
     assert np.all(q.entries[7] == 0.0)
 
@@ -174,7 +188,7 @@ def test_estimator_inconsistent_inputs():
     expo = np.zeros(15)
     with pytest.raises(ValueError, match="zero exposure"):
         rl.estimate_generator(
-            rl.CountMatrix(window(), counts), rl.ExposureVector(window(), expo)
+            rl.CountMatrix(counts), rl.ExposureVector(expo)
         )
 
 
@@ -283,6 +297,19 @@ def test_generator_row_sum_tolerance_scales_with_rates():
     small[4, 4], small[4, 5] = -0.5, 0.5 + 2e-12  # below magnitude 1 the bound stays 1e-12
     with pytest.raises(ValueError, match=r"^row sums deviate from 0 by 2\.000e-12$"):
         rl.GeneratorMatrix(entries=small)
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warning would be a stray stderr line
+def test_generator_row_sum_overflow_is_rejected():
+    # the sum of magnitudes overflows, so a bound scaled by it would be inf
+    q = np.zeros((15, 15))
+    q[0, :3] = -1.0, 1e308, 1e308
+    with pytest.raises(ValueError, match=r"^row sums deviate from 0 by inf$"):
+        rl.GeneratorMatrix(entries=q)
+    # a valid generator whose magnitudes sum past the float maximum loads
+    q = rl.random_generator(1, 1e308).entries
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.abs(q).sum(axis=1)).any()
 
 
 def test_transition_matrix_validation():
