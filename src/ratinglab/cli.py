@@ -134,11 +134,7 @@ def cmd_moments(args) -> None:
     if args.tau < 1:
         raise _UsageError(f"--tau must be >= 1 day, got {args.tau}")
     panel = _load_panel(args)
-    try:
-        series = moment_series(panel, tau=args.tau)
-    except OverflowError:  # t - tau falls before the first representable date
-        raise _UsageError(f"--tau {args.tau} reaches before the year 1") from None
-    write_moment_series_csv(series, _prepare_file(args.output))
+    write_moment_series_csv(moment_series(panel, tau=args.tau), _prepare_file(args.output))
 
 
 def cmd_homogeneity(args) -> None:

@@ -4,21 +4,21 @@ Moments are population-normalized (no sample-bias correction) and the
 kurtosis is non-excess, so a Gaussian sample sits at 3.  Skewness and
 kurtosis are undefined when the variance is degenerate.
 
-A rolling moment series takes the cross-sections on its sample and
-lagged dates in one pass over the panel per :data:`DATES_PER_PASS`
-dates.
+A rolling moment series walks the month grid of :meth:`Panel.month_passes`
+and reads each sample's lag as a day offset, so a lag before the span
+start, even one before the year 1, is simply unrated.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
-from .dates import month_starts
 from .panel import Panel
 from .textio import format_float, write_csv
 
@@ -32,10 +32,6 @@ __all__ = [
 
 #: Variance below this is treated as degenerate: skewness/kurtosis undefined.
 DEGENERATE_VARIANCE = 1e-12
-
-#: Sample dates per cross-section pass; a pass holds up to two bytes a
-#: bank a date, so a long span is taken in passes.
-DATES_PER_PASS = 120
 
 
 @dataclass(frozen=True)
@@ -60,22 +56,6 @@ class MomentPoint:
     date: dt.date
     ratings: Optional[MomentSet]
     increments: Optional[MomentSet]
-
-
-def _lagged_cross_sections(
-    panel: Panel, dates: Sequence[dt.date], tau: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(R(t), R(t - tau))`` for every date: rows of one :meth:`Panel.states_at_many` block."""
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1 day, got {tau}")
-    start = panel.span[0]
-    now = [(t - start).days for t in dates]
-    # Raises OverflowError when t - tau falls before the first representable date.
-    then = [(t - dt.timedelta(days=tau) - start).days for t in dates]
-    # Distinct ascending days give the block without a reordering copy.
-    days = np.unique(np.array(now + then, dtype=np.int64))
-    block = panel.states_at_many(days)
-    return [(block[i], block[j]) for i, j in zip(*np.searchsorted(days, [now, then]).tolist())]
 
 
 def moments(sample: Sequence[float]) -> MomentSet:
@@ -122,15 +102,18 @@ def _distinct(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def moment_series(panel: Panel, tau: int = 365) -> list[MomentPoint]:
     """Rolling moments of the rating and increment cross-sections.
 
-    Sampled on the first day of each month.  The cross-sections on
-    every sample date and every lagged date come from one
-    :meth:`Panel.states_at_many` per :data:`DATES_PER_PASS` dates.
+    Sampled on the first day of each month; the increments run from
+    ``tau`` days (an integer) before each sample date.
     """
-    dates = month_starts(*panel.span)
+    tau = operator.index(tau)  # a float would shift every lag
+    if tau < 1:
+        raise ValueError(f"tau must be >= 1 day, got {tau}")
     out = []
-    for lo in range(0, len(dates), DATES_PER_PASS):
-        chunk = dates[lo : lo + DATES_PER_PASS]
-        for day, (now, then) in zip(chunk, _lagged_cross_sections(panel, chunk, tau)):
+    for dates, days in panel.month_passes():
+        # Every lag before the span start reads as unrated, so -1 stands for them all.
+        block, (now_at, then_at) = panel.cross_sections(days, [max(d - tau, -1) for d in days])
+        for day, i, j in zip(dates, now_at, then_at):
+            now, then = block[i], block[j]
             ratings = now[now >= 0]
             r_moments = moments(ratings) if ratings.size else None
             both = (now >= 0) & (then >= 0)  # increments need both ends rated

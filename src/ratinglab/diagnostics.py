@@ -14,10 +14,10 @@ Two statistics per analysis window:
 
 A window is two day offsets into the panel's span; its half-window
 midpoint and its length in years are taken from them.  A rolling
-series takes the cross-sections, change counts and exposures of its
-windows in one pass over the panel per :data:`WINDOWS_PER_PASS`
-windows; only the 15x15 algebra is done window by window.  Series are
-written with :func:`textio.write_csv`.
+series takes the change counts, exposures and cross-sections of its
+windows a pass of :meth:`Panel.month_passes` at a time; only the 15x15
+algebra is done window by window.  Series are written with
+:func:`textio.write_csv`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import IO, Union
 
 import numpy as np
 
-from .dates import DAYS_PER_YEAR, month_starts
+from .dates import DAYS_PER_YEAR
 from .estimation import (
     CountMatrix,
     TransitionMatrix,
@@ -60,13 +60,6 @@ PROBABILITY_FLOOR = 1e-12
 
 STATISTICS = ("homogeneity_L", "ck_l2")
 WINDOW_MONTHS = {"month": 1, "year": 12}
-
-#: Windows per pass over the panel (ten years of month windows).  A pass
-#: holds running counts (1.8 kB a window) and cross-sections (up to two
-#: bytes a bank a window), so a long series' memory stays bounded: on a
-#: 2,500-bank, 24-year panel one pass for all 288 windows raised the
-#: peak resident memory by 1.5 MB, passes of 120 windows by 0.5 MB.
-WINDOWS_PER_PASS = 120
 
 
 @dataclass(frozen=True)
@@ -155,37 +148,29 @@ def rolling_series(panel: Panel, statistic: str, window_length: str = "year") ->
     Homogeneity points with zero transitions in the window are omitted;
     the Chapman-Kolmogorov deviation is computed for every window.
 
-    Every :data:`WINDOWS_PER_PASS` windows share one pass over the
-    panel: running change counts and bank-days at every month start,
-    and the cross-sections on every month start (and half-window
-    midpoint) from one :meth:`Panel.states_at_many`.  Only the 15x15
-    algebra is per window.
+    Each pass of :meth:`Panel.month_passes` takes running change
+    counts and bank-days at its month starts, and the cross-sections on
+    them (and on the half-window midpoints) from one
+    :meth:`Panel.cross_sections`.  Only the 15x15 algebra is per window.
     """
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
     months = WINDOW_MONTHS[window_length]
-    starts = month_starts(*panel.span)
     points = []
-    for lo in range(0, len(starts) - months, WINDOWS_PER_PASS):
-        grid = starts[lo : lo + WINDOWS_PER_PASS + months]
-        points += _series_points(panel, statistic, grid, months)
+    for starts, grid in panel.month_passes(months):
+        points += _series_points(panel, statistic, starts, grid, months)
     return TestSeries(statistic=statistic, window_length=window_length, points=tuple(points))
 
 
-def _series_points(panel: Panel, statistic: str, starts: list, months: int) -> list[TestPoint]:
-    """The points of the windows from ``starts[k]`` to ``starts[k + months]``."""
-    grid = [panel.day_offset(t) for t in starts]
+def _series_points(panel: Panel, statistic: str, starts, grid, months: int) -> list[TestPoint]:
+    """The points of the windows from ``starts[k]`` to ``starts[k + months]``, on days ``grid``."""
     through = transitions_through(panel, grid)
     if statistic == "homogeneity_L":
         before = bank_days_before(panel, grid)
         mid_days = []
     else:
         mid_days = [(a + b) // 2 for a, b in zip(grid, grid[months:])]
-    # Distinct ascending days give the block without a reordering copy.
-    days = np.unique(np.array(grid + mid_days, dtype=np.int64))
-    states = panel.states_at_many(days)
-    at = np.searchsorted(days, grid).tolist()
-    mid_at = np.searchsorted(days, mid_days).tolist()
+    states, (at, mid_at) = panel.cross_sections(grid, mid_days)
     points = []
     for k, (t0, tf) in enumerate(zip(starts, starts[months:])):
         counts = CountMatrix(counts=through[k + months] - through[k])

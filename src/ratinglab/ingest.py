@@ -166,8 +166,10 @@ class _EventColumns:
 
         # Group by bank (in id order), then by day, then by row.
         n_banks = len(self.bank_ids)
+        ids = sorted(range(n_banks), key=self.bank_ids.__getitem__)  # codes in id order
         rank = np.empty(n_banks, dtype=np.int64)
-        rank[sorted(range(n_banks), key=self.bank_ids.__getitem__)] = np.arange(n_banks)
+        rank[ids] = np.arange(n_banks)  # each code's place in that order
+        ids = [self.bank_ids[k] for k in ids]  # the ids in order; the codes' ints are freed
         day = self.ordinal - lo
         order = np.lexsort((day, rank[self.bank]))
         bank, day, state = self.bank[order], day[order], self.state[order]
@@ -213,7 +215,7 @@ class _EventColumns:
         coverage_end[ranked[withdrawn]] = day[withdrawn] - 1
         counts = np.bincount(ranked[keep], minlength=n_banks)
         return Panel(
-            sorted(self.bank_ids),
+            ids,
             np.concatenate([[0], np.cumsum(counts)]),
             day[keep],
             state[keep],

@@ -10,8 +10,9 @@ state of its most recent event on or before ``t``; outside its coverage
 it is unrated.  Every query is a pass over these arrays; nothing
 derived from them is cached.  :meth:`Panel.states_at_many` is the one
 cross-section query: it takes the cross-sections of many days in one
-pass, which is how a rolling series gets all of its windows'
-cross-sections.
+pass.  Both rolling series, the tests and the moments, walk the month
+grid of :meth:`Panel.month_passes` and take each pass's cross-sections
+with :meth:`Panel.cross_sections`.
 """
 
 from __future__ import annotations
@@ -20,9 +21,17 @@ import datetime as dt
 
 import numpy as np
 
+from .dates import month_starts
 from .errors import SpanError
 
 __all__ = ["Panel"]
+
+#: Month starts per pass of a rolling series (ten years).  A pass holds
+#: running counts (1.8 kB a month) and cross-sections (up to two bytes a
+#: bank a month), so a long series' memory stays bounded: on a
+#: 2,500-bank, 24-year panel one pass for all 288 windows raised the
+#: peak resident memory by 1.5 MB, passes of 120 windows by 0.5 MB.
+MONTHS_PER_PASS = 120
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -112,12 +121,25 @@ class Panel:
         seg_end[self.offsets[1:] - 1] = self.coverage_end + 1
         return seg_end
 
+    def month_passes(self, look_ahead: int = 0):
+        """The span's month starts as ``(dates, day offsets)``, :data:`MONTHS_PER_PASS` a pass
+        plus the next ``look_ahead``, so each window that many months long ends in its pass."""
+        starts = month_starts(*self.span)
+        for lo in range(0, len(starts) - look_ahead, MONTHS_PER_PASS):
+            dates = starts[lo : lo + MONTHS_PER_PASS + look_ahead]
+            yield dates, [self.day_offset(t) for t in dates]
+
+    def cross_sections(self, *day_lists) -> tuple[np.ndarray, list[list[int]]]:
+        """A :meth:`states_at_many` block of every list's days, and each list's rows in it."""
+        days = np.unique(np.concatenate([np.asarray(d, dtype=np.int64) for d in day_lists]))
+        return self.states_at_many(days), [np.searchsorted(days, d).tolist() for d in day_lists]
+
     def states_at_many(self, days) -> np.ndarray:
         """Cross-sections on many days, as an int8 block of shape (len(days), n_banks).
 
         Row ``r`` holds every bank's state on day offset ``days[r]``
-        (days from the span start; any order, repeats allowed), -1
-        where the bank is unrated.  Days outside the span give all -1.
+        (days from the span start, strictly ascending, else ValueError),
+        -1 where the bank is unrated.  Days outside the span give all -1.
 
         One sweep over the events builds every row: each event adds its
         change of state (from -1 for a bank's first event) at the first
@@ -126,21 +148,20 @@ class Panel:
         sum down the rows completes the block.
         """
         days = np.asarray(days, dtype=np.int64)
-        grid, row = np.unique(days, return_inverse=True)
+        if np.any(days[1:] <= days[:-1]):
+            raise ValueError("days must be strictly ascending")
         n_banks = self.n_banks
         # One spare row takes the changes after the last requested day.
-        delta = np.zeros((len(grid) + 1, n_banks), dtype=np.int8)
+        delta = np.zeros((len(days) + 1, n_banks), dtype=np.int8)
         delta[0] = -1
         first, last = self.offsets[:-1], self.offsets[1:] - 1
         step = np.diff(self.event_state, prepend=self.event_state[:1])
         step[first] = self.event_state[first] + 1
         bank = np.repeat(np.arange(n_banks), np.diff(self.offsets))
-        cell = np.searchsorted(grid, self.event_day) * n_banks + bank
+        cell = np.searchsorted(days, self.event_day) * n_banks + bank
         np.add.at(delta.reshape(-1), cell, step.astype(np.int8))
-        lapse = np.searchsorted(grid, self.coverage_end, side="right")
+        lapse = np.searchsorted(days, self.coverage_end, side="right")
         delta[lapse, np.arange(n_banks)] -= (self.event_state[last] + 1).astype(np.int8)
         # Every partial sum is a state or -1, so int8 holds it exactly.
         np.cumsum(delta, axis=0, out=delta)
-        if len(grid) == len(row) and np.all(grid == days):
-            return delta[:-1]  # already ascending and distinct: no reordering copy
-        return delta[row]
+        return delta[:-1]

@@ -36,7 +36,8 @@ def make_panel(span, specs):
 
 def cross_section(panel, *dates):
     """Every bank's state on each date, one row per date (-1: unrated)."""
-    return panel.states_at_many([(t - panel.span[0]).days for t in dates])
+    days, row = np.unique([(t - panel.span[0]).days for t in dates], return_inverse=True)
+    return panel.states_at_many(days)[row]
 
 
 def raw_histories(panel):

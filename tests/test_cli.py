@@ -191,15 +191,27 @@ def test_moments_rejects_bad_tau(tmp_path, capsys):
     assert "--tau" in capsys.readouterr().err
 
 
-def test_moments_tau_before_year_one_is_usage_error(tmp_path, capsys):
-    panel_csv = write_panel(tmp_path)
-    code = run(
-        "moments", "--input", str(panel_csv), "--output", str(tmp_path / "m.csv"),
-        "--tau", "1000000000",
+def test_moments_lag_before_year_one_is_unrated(tmp_path, capsys):
+    # a lag before the span start, even one before the year 1, is unrated
+    panel_csv = tmp_path / "panel.csv"
+    panel_csv.write_text(
+        "bank_id,date,rating\nb1,0001-01-01,B\nb2,0001-01-01,C+\nb1,0001-03-05,B+\n",
+        encoding="utf-8",
     )
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("ratinglab: error: --tau 1000000000") and err.count("\n") == 1
+    out = tmp_path / "m.csv"
+    for tau in (1, 365, 10**9, 2**70):
+        code = run("moments", "--input", str(panel_csv), "--output", str(out), "--tau", str(tau))
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        head, *body = rows(out)
+        assert [r[0] for r in body] == ["0001-01-01", "0001-02-01", "0001-03-01"]
+        mean_t = head.index("mean_T")
+        for r in body:
+            assert r[head.index("mean_R")] != ""
+            if D.fromisoformat(r[0]).toordinal() - tau < 1:  # the lag falls before the span
+                assert r[mean_t:] == ["", "", "", ""]
+            else:
+                assert r[mean_t] == "0"
 
 
 # -- homogeneity / ck ----------------------------------------------------
@@ -701,3 +713,68 @@ def test_fuzz_scenario_text_exits_cleanly(text, seed):
     else:
         assert err.getvalue().startswith("ratinglab: error: ")
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+def _shifted(day, days):
+    """``day`` moved by ``days``, or None past the calendar's ends."""
+    try:
+        return day + dt.timedelta(days=days)
+    except OverflowError:
+        return None
+
+
+@st.composite
+def _flag_runs(draw):
+    """A panel of up to 5 banks whose records fall in one year, and
+    ``--from``/``--to`` values around those records: absent, their ends,
+    a day or a month outside them (so reversed spans come up too),
+    malformed, and 0001-01-01 (or 9999-12-31) when the records fall in
+    that year."""
+    year = draw(st.sampled_from([1, 2007, 9999]))
+    records = draw(st.lists(
+        st.tuples(
+            st.sampled_from([f"b{k}" for k in range(5)]),
+            st.dates(D(year, 1, 1), D(year, 12, 31)),
+            st.sampled_from(rl.RATING_LABELS),
+        ),
+        min_size=1, max_size=10, unique_by=lambda r: r[:2],
+    ))
+    text = "bank_id,date,rating\n" + "".join(f"{b},{d},{lab}\n" for b, d, lab in records)
+    first, last = min(r[1] for r in records), max(r[1] for r in records)
+    days = [first, last] + [_shifted(first, -k) for k in (1, 31)] + [_shifted(last, k) for k in (1, 31)]
+    days += {1: [D(1, 1, 1)], 9999: [D(9999, 12, 31)]}.get(year, [])  # spans stay short
+    ends = [None] + [d.isoformat() for d in days if d is not None] + ["2007-02-30", "x", ""]
+    return text, draw(st.sampled_from(ends)), draw(st.sampled_from(ends))
+
+
+@settings(max_examples=80, deadline=dt.timedelta(seconds=20))
+@given(
+    run_args=_flag_runs(),
+    tau=st.sampled_from([None, "0", "-5", "1", "365", str(10**9), str(2**70), "x"]),
+    window=st.sampled_from([None, "month", "year", "week"]),
+)
+def test_fuzz_flag_values_exit_cleanly(run_args, tau, window):
+    # every flag value ends in exit 0, 1 or 2 with at most one error line
+    text, span_from, span_to = run_args
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "panel.csv"
+        src.write_text(text, encoding="utf-8")
+        span = [*(["--from", span_from] if span_from is not None else []),
+                *(["--to", span_to] if span_to is not None else [])]
+        extra = {
+            "counts": [],
+            "moments": ["--tau", tau] if tau is not None else [],
+            "homogeneity": ["--window", window] if window is not None else [],
+            "ck": ["--window", window] if window is not None else [],
+        }
+        for command, flags in extra.items():
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run(command, "--input", str(src), "--output", str(Path(tmp) / command),
+                           *span, *flags)
+            assert code in (0, 1, 2)
+            if code == 0:
+                assert err.getvalue() == ""
+            else:
+                assert err.getvalue().startswith("ratinglab: error: ")
+                assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

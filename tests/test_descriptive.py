@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ratinglab as rl
-import ratinglab.descriptive as descriptive
+import ratinglab.panel as panel_module
 from ratinglab.dates import month_starts
 from oracles import elementwise_moments, state_on, two_pass_moments
 
@@ -106,6 +106,9 @@ def test_increment_histogram_rejects_bad_tau():
     p = flat_panel([3])
     with pytest.raises(ValueError):
         rl.moment_series(p, tau=0)
+    for tau in (365.0, 365.5, 0.5):  # a lag is a whole number of days, never floored
+        with pytest.raises(TypeError):
+            rl.moment_series(p, tau=tau)
 
 
 # -- moments ----------------------------------------------------------
@@ -261,9 +264,9 @@ def test_moment_series_matches_naive_recomputation(homogeneous_panel):
 @given(mid_month_panels(), st.integers(1, 800), st.sampled_from([1, 3, 600]))
 def test_moment_series_passes_match_one_pass(panel, tau, per_pass):
     # lags of up to 800 days reach before the span start, where every bank is unrated
-    with mock.patch.object(descriptive, "DATES_PER_PASS", 10**9):
+    with mock.patch.object(panel_module, "MONTHS_PER_PASS", 10**9):
         whole = rl.moment_series(panel, tau=tau)
-    with mock.patch.object(descriptive, "DATES_PER_PASS", per_pass):
+    with mock.patch.object(panel_module, "MONTHS_PER_PASS", per_pass):
         assert rl.moment_series(panel, tau=tau) == whole
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import ratinglab as rl
 import ratinglab.diagnostics as diagnostics
+import ratinglab.panel as panel_module
 from ratinglab.dates import month_starts
 from oracles import cohort_matrix, sigma_max, window_counts_exposures
 
@@ -295,11 +296,8 @@ def test_rolling_series_windows_match_oracles(panel, window, per_pass):
         return cohort(start, end)
 
     with mock.patch.multiple(
-        diagnostics,
-        estimate_generator=spy_fit,
-        cohort_matrix=spy_cohort,
-        WINDOWS_PER_PASS=per_pass,
-    ):
+        diagnostics, estimate_generator=spy_fit, cohort_matrix=spy_cohort
+    ), mock.patch.object(panel_module, "MONTHS_PER_PASS", per_pass):
         homogeneity = rl.rolling_series(panel, "homogeneity_L", window)
         ck = rl.rolling_series(panel, "ck_l2", window)
 

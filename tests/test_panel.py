@@ -7,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ratinglab as rl
+import ratinglab.panel as panel_module
+from ratinglab.dates import month_starts
 from oracles import state_on
 
 from conftest import cross_section, make_panel
@@ -254,20 +256,23 @@ def test_states_at_matches_rating_at(specs, off):
         assert cross[k] == (-1 if want is None else want)
 
 
-@given(panel_specs(), st.data())
-def test_states_at_many_matches_state_on(specs, data):
-    # Days come unsorted and repeated, some before and after the span,
-    # many on or next to an event or a coverage end; specs include
-    # withdrawn banks and the empty panel.
-    edges = [
+def _edge_days(specs):
+    """Day offsets on or next to every event and coverage end."""
+    return [
         (d - SPAN[0]).days + e
         for _, events, cov in specs
         for d in [*(d for d, _ in events), cov]
         for e in (-1, 0, 1)
     ]
-    day = st.integers(-400, 3000) | st.sampled_from(edges or [0])
-    offs = data.draw(st.lists(day, max_size=16))
-    offs = data.draw(st.permutations(offs + offs[: len(offs) // 2]))
+
+
+@given(panel_specs(), st.data())
+def test_states_at_many_matches_state_on(specs, data):
+    # Days ascend strictly, some before and after the span, many on or
+    # next to an event or a coverage end; specs include withdrawn banks
+    # and the empty panel.
+    day = st.integers(-400, 3000) | st.sampled_from(_edge_days(specs) or [0])
+    offs = sorted(data.draw(st.sets(day, max_size=16)))
     panel = make_panel(SPAN, specs)
     block = panel.states_at_many(offs)
     assert block.dtype == np.int8
@@ -278,6 +283,49 @@ def test_states_at_many_matches_state_on(specs, data):
         for k, (_, events, cov) in enumerate(specs):
             want = state_on(events, cov, t) if inside else None
             assert block[r, k] == (-1 if want is None else want)
+
+
+@pytest.mark.parametrize("days", [[0, 0], [5, 4], [-3, 7, 7, 9], [1, 3, 2]])
+def test_states_at_many_rejects_days_not_strictly_ascending(days):
+    panel = one_bank([(SPAN[0], 5)])
+    with pytest.raises(ValueError):
+        panel.states_at_many(days)
+
+
+@given(panel_specs(), st.data())
+def test_cross_sections_rows_match_each_list(specs, data):
+    # lists of days in any order, repeated within and across the lists
+    day = st.integers(-400, 3000) | st.sampled_from(_edge_days(specs) or [0])
+    lists = data.draw(st.lists(st.lists(day, max_size=8), min_size=1, max_size=3))
+    panel = make_panel(SPAN, specs)
+    block, rows = panel.cross_sections(*lists)
+    assert block.shape[0] == len(set().union(*lists))
+    assert [len(r) for r in rows] == [len(days) for days in lists]
+    for days, at in zip(lists, rows):
+        for off, r in zip(days, at):
+            assert np.array_equal(block[r], cross_section(panel, SPAN[0] + dt.timedelta(days=off))[0])
+
+
+@pytest.mark.parametrize("per_pass", [1, 5, 120])
+@pytest.mark.parametrize("look_ahead", [0, 1, 12])
+@pytest.mark.parametrize("span", [(D(2006, 1, 1), D(2012, 12, 31)), (D(2006, 1, 2), D(2006, 2, 1)),
+                                  (D(2006, 1, 2), D(2006, 1, 31)), (D(9998, 1, 1), D(9999, 12, 31))])
+def test_month_passes_cover_the_month_grid(span, look_ahead, per_pass, monkeypatch):
+    monkeypatch.setattr(panel_module, "MONTHS_PER_PASS", per_pass)
+    panel = make_panel(span, [])
+    starts = month_starts(*span)
+    passes = list(panel.month_passes(look_ahead))
+    # Each pass is a run of month starts whose first len - look_ahead
+    # (per_pass, bar the last pass) start windows that end in the pass;
+    # every window start is served once, in order.
+    window_starts = []
+    for dates, days in passes:
+        assert days == [(t - span[0]).days for t in dates]
+        i = starts.index(dates[0])
+        assert dates == starts[i : i + len(dates)]
+        window_starts += dates[: len(dates) - look_ahead]
+    assert all(len(dates) == per_pass + look_ahead for dates, _ in passes[:-1])
+    assert window_starts == starts[: max(len(starts) - look_ahead, 0)]
 
 
 @given(panel_specs())
