@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import datetime as dt
 
+__all__ = ["DAYS_PER_YEAR"]
+
 #: Days per year used to convert day counts into rate units.
 DAYS_PER_YEAR = 365.0
 

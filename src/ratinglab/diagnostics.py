@@ -51,7 +51,6 @@ __all__ = [
     "l2_norm",
     "rolling_series",
     "write_test_series_csv",
-    "PROBABILITY_FLOOR",
 ]
 
 #: Entries below this are floored before taking logs, keeping the
@@ -155,6 +154,8 @@ def rolling_series(panel: Panel, statistic: str, window_length: str = "year") ->
     """
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
+    if window_length not in WINDOW_MONTHS:
+        raise ValueError(f"unknown window length {window_length!r}")
     months = WINDOW_MONTHS[window_length]
     points = []
     for starts, grid in panel.month_passes(months):

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["RatingLabError", "DataFormatError", "SpanError"]
+
 
 class RatingLabError(Exception):
     """Base class for all package-specific errors."""

@@ -29,10 +29,7 @@ __all__ = [
     "TransitionMatrix",
     "GeneratorMatrix",
     "count_transitions",
-    "transitions_through",
     "exposures",
-    "bank_days_before",
-    "exposure_vector",
     "estimate_generator",
     "matrix_exponential",
     "empirical_transition_matrix",

@@ -22,7 +22,7 @@ import bisect
 import csv
 import datetime as dt
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import IO, Iterator, Optional, Union
 
 import numpy as np
 
@@ -275,21 +275,19 @@ def _rated_per_day(panel: Panel) -> np.ndarray:
     return np.cumsum(starts - ends)[:n]
 
 
-def daily_counts(panel: Panel) -> list[tuple[dt.date, int]]:
-    """Number of rated banks per day; days with none are omitted.
+def daily_counts(panel: Panel) -> tuple[np.ndarray, np.ndarray]:
+    """Number of rated banks per day as ``(dates, counts)``, dates in ``datetime64[D]``.
 
-    An empty panel therefore yields an empty series rather than a run
-    of zero rows.
+    Days with none are omitted, so an empty panel yields an empty
+    series rather than a run of zero rows.
     """
     totals = _rated_per_day(panel)
-    start = panel.span[0]
-    return [
-        (start + dt.timedelta(days=i), int(v)) for i, v in enumerate(totals) if v > 0
-    ]
+    rated = np.flatnonzero(totals)
+    return np.datetime64(panel.span[0], "D") + rated, totals[rated]
 
 
-def transitions_per_bank(panel: Panel) -> list[tuple[dt.date, float]]:
-    """Trailing transitions-per-bank ratio for every day of the span.
+def transitions_per_bank(panel: Panel) -> tuple[np.ndarray, np.ndarray]:
+    """Trailing transitions-per-bank ratio for every day of the span as ``(dates, ratios)``.
 
     For each day ``t``: state changes dated within
     ``[t - TRAILING_DAYS, t]`` (clipped to the span) divided by the mean
@@ -308,12 +306,12 @@ def transitions_per_bank(panel: Panel) -> list[tuple[dt.date, float]]:
     mean_banks = (cum_nr[t + 1] - cum_nr[lo]) / (t + 1 - lo)
     rated = np.flatnonzero(mean_banks != 0.0)
     ratio = (cum_tr[rated + 1] - cum_tr[lo[rated]]) / mean_banks[rated]
-    start = panel.span[0]
-    return [(start + dt.timedelta(days=d), r) for d, r in zip(rated.tolist(), ratio.tolist())]
+    return np.datetime64(panel.span[0], "D") + rated, ratio
 
 
 def write_count_series_csv(
-    series: Iterable[tuple[dt.date, float]], target: Union[str, Path, IO[str]]
+    series: tuple[np.ndarray, np.ndarray], target: Union[str, Path, IO[str]]
 ) -> None:
-    """Write a ``date,value`` series; one row per day."""
-    write_csv(target, ["date", "value"], ((day.isoformat(), format_float(v)) for day, v in series))
+    """Write a ``(dates, values)`` series as ``date,value`` rows, formatting one row at a time."""
+    days, values = series
+    write_csv(target, ["date", "value"], ((str(d), format_float(v)) for d, v in zip(days, values)))

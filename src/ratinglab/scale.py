@@ -1,12 +1,14 @@
-"""The 15-level bank financial-strength rating scale and its integer encoding.
+"""The 15-level bank financial-strength rating scale.
 
 States are ordered by credit quality: index 0 is ``E-`` (highest risk,
 bottom of the scale) and index 14 is ``A+`` (best financial health).
-All matrices and vectors in this package index rows/columns by this
-encoding.
+All matrices and vectors in this package index rows/columns by state;
+label text becomes a state only when :mod:`ingest` reads a panel.
 """
 
 from __future__ import annotations
+
+__all__ = ["N_STATES", "RATING_LABELS", "WITHDRAWN_LABEL"]
 
 RATING_LABELS: tuple[str, ...] = (
     "E-", "E", "E+",
@@ -20,20 +22,3 @@ N_STATES: int = len(RATING_LABELS)
 
 #: Sentinel label closing a bank's coverage in event CSV files.
 WITHDRAWN_LABEL: str = "WR"
-
-_LABEL_TO_STATE = {label: i for i, label in enumerate(RATING_LABELS)}
-
-
-def encode(label: str) -> int:
-    """Map a rating label to its integer state (0 = worst, 14 = best)."""
-    try:
-        return _LABEL_TO_STATE[label]
-    except KeyError:
-        raise ValueError(f"unknown rating label {label!r}") from None
-
-
-def decode(state: int) -> str:
-    """Map an integer state back to its rating label."""
-    if not 0 <= state < N_STATES:
-        raise ValueError(f"state {state} outside 0..{N_STATES - 1}")
-    return RATING_LABELS[state]

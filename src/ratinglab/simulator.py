@@ -77,6 +77,9 @@ __all__ = [
 KINDS = ("homogeneous", "regime_switch", "excited")
 
 # Banks stepped together; banks are independent, so the bytes do not depend on it.
+# Each step costs a fixed numpy overhead per block plus per-bank work arrays: at
+# 150k banks over four years (2-core x86-64 host) blocks of 1,024 took 1.0 s, blocks
+# of 4,096 0.53-0.69 s at 61 MB peak RSS, and one block 0.61-0.67 s at 90 MB.
 BANKS_PER_BLOCK = 4096
 # Consecutive same-day re-draws after which a bank draws past each of its collisions.
 COLLISION_LIMIT = 64

@@ -40,6 +40,13 @@ def cross_section(panel, *dates):
     return panel.states_at_many(days)[row]
 
 
+def series_rows(series):
+    """A ``(dates, values)`` count series as ``(date, value)`` pairs of Python objects."""
+    days, values = series
+    assert days.dtype == np.dtype("datetime64[D]") and days.shape == values.shape
+    return list(zip(days.tolist(), values.tolist()))
+
+
 def raw_histories(panel):
     """Plain (events, coverage_end) pairs per bank, read off the panel's arrays."""
     start = panel.span[0]

@@ -42,3 +42,26 @@ def test_exported_names_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+PUBLIC_MODULES = (
+    "dates", "descriptive", "diagnostics", "errors", "estimation", "ingest", "panel", "scale",
+    "simulator",
+)
+
+
+def test_package_all_is_the_modules_all():
+    # each module's __all__ is the one statement of its public API
+    modules = [importlib.import_module(f"ratinglab.{name}") for name in PUBLIC_MODULES]
+    assert rl.__all__ == [name for m in modules for name in m.__all__]
+    assert len(set(rl.__all__)) == len(rl.__all__)
+    assert rl.dates.__all__ == ["DAYS_PER_YEAR"]
+    for name in rl.__all__:
+        module = next(m for m in modules if name in m.__all__)
+        assert getattr(rl, name) is getattr(module, name)
+
+
+def test_label_codec_is_gone():
+    # label text becomes a state only inside ingest
+    assert not {"encode", "decode"} & set(dir(rl))
+    assert not hasattr(rl.scale, "_LABEL_TO_STATE")

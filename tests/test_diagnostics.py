@@ -329,9 +329,9 @@ def test_rolling_series_windows_match_oracles(panel, window, per_pass):
 
 def test_rolling_rejects_unknown_names():
     p = make_panel(SPAN, [("b1", [(SPAN[0], 5)], None)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown statistic 'nonsense'"):
         rl.rolling_series(p, "nonsense", "year")
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown window length 'fortnight'"):
         rl.rolling_series(p, "ck_l2", "fortnight")
 
 

@@ -12,7 +12,7 @@ import oracles
 import ratinglab as rl
 from ratinglab import DataFormatError
 
-from conftest import cross_section, make_panel, raw_histories
+from conftest import cross_section, make_panel, raw_histories, series_rows
 
 D = dt.date
 SPAN = (D(2007, 1, 1), D(2010, 12, 31))
@@ -117,7 +117,7 @@ def test_parse_row_order_irrelevant():
     text_a = "bank_id,date,rating\n" + "\n".join(rows) + "\n"
     text_b = "bank_id,date,rating\n" + "\n".join(reversed(rows)) + "\n"
     assert parse(text_a) == parse(text_b)
-    assert rl.daily_counts(parse(text_a)) == rl.daily_counts(parse(text_b))
+    assert series_rows(rl.daily_counts(parse(text_a))) == series_rows(rl.daily_counts(parse(text_b)))
 
 
 # -- round trip -------------------------------------------------------
@@ -181,7 +181,7 @@ def test_round_trip_emits_withdrawal_rows():
 def test_daily_counts_constant_bank():
     span = (D(2007, 1, 1), D(2007, 1, 10))
     p = make_panel(span, [("b1", [(span[0], 5)], None)])
-    series = rl.daily_counts(p)
+    series = series_rows(rl.daily_counts(p))
     assert len(series) == 10
     assert all(v == 1 for _, v in series)
     assert series[0][0] == span[0] and series[-1][0] == span[1]
@@ -196,7 +196,7 @@ def test_daily_counts_withdrawal_decrements():
             ("b2", [(span[0], 8)], D(2007, 1, 4)),
         ],
     )
-    series = dict(rl.daily_counts(p))
+    series = dict(series_rows(rl.daily_counts(p)))
     assert series[D(2007, 1, 4)] == 2
     assert series[D(2007, 1, 5)] == 1
 
@@ -204,9 +204,9 @@ def test_daily_counts_withdrawal_decrements():
 def test_daily_counts_omits_unrated_days():
     span = (D(2007, 1, 1), D(2007, 3, 1))
     p = make_panel(span, [("b1", [(D(2007, 2, 1), 5)], None)])
-    series = rl.daily_counts(p)
+    series = series_rows(rl.daily_counts(p))
     assert series[0][0] == D(2007, 2, 1)
-    assert rl.daily_counts(make_panel(span, [])) == []
+    assert series_rows(rl.daily_counts(make_panel(span, []))) == []
 
 
 def test_daily_counts_growth_fixture():
@@ -221,7 +221,7 @@ def test_daily_counts_growth_fixture():
         day = span[0] + dt.timedelta(days=off)
         rows.append(f"l{k:04d},{day.isoformat()},B")
     p = parse("\n".join(rows) + "\n", span)
-    series = rl.daily_counts(p)
+    series = series_rows(rl.daily_counts(p))
     assert series[0] == (span[0], 658)
     assert series[-1] == (span[1], 924)
     values = [v for _, v in series]
@@ -234,7 +234,7 @@ def test_daily_counts_growth_fixture():
 def test_transitions_per_bank_no_transitions():
     span = (D(2007, 1, 1), D(2007, 2, 1))
     p = make_panel(span, [("b1", [(span[0], 5)], None)])
-    series = rl.transitions_per_bank(p)
+    series = series_rows(rl.transitions_per_bank(p))
     assert len(series) == 32
     assert all(v == 0.0 for _, v in series)
 
@@ -244,7 +244,7 @@ def test_transitions_per_bank_single():
     # its first anniversary and drops it the day after
     span = (D(2007, 1, 1), D(2008, 6, 1))
     p = make_panel(span, [("b1", [(span[0], 5), (D(2007, 2, 1), 6)], None)])
-    series = dict(rl.transitions_per_bank(p))
+    series = dict(series_rows(rl.transitions_per_bank(p)))
     assert series[D(2007, 2, 5)] == pytest.approx(1.0)
     assert series[D(2007, 1, 20)] == 0.0  # before the change
     assert series[D(2008, 2, 1)] == 1.0  # 365 days on: still in the window
@@ -260,14 +260,14 @@ def test_transitions_per_bank_ratio():
             ("b2", [(span[0], 9), (D(2007, 2, 2), 8)], None),
         ],
     )
-    series = dict(rl.transitions_per_bank(p))
+    series = dict(series_rows(rl.transitions_per_bank(p)))
     assert series[D(2007, 2, 5)] == pytest.approx(1.5)
 
 
 def test_transitions_per_bank_omits_unrated_window():
     span = (D(2007, 1, 1), D(2007, 3, 1))
     p = make_panel(span, [("b1", [(D(2007, 2, 1), 5)], None)])
-    series = rl.transitions_per_bank(p)
+    series = series_rows(rl.transitions_per_bank(p))
     assert series[0][0] == D(2007, 2, 1)
 
 
@@ -299,21 +299,27 @@ def test_infer_span_rejects_empty():
 
 
 def test_write_count_series_csv():
+    # dates at both ends of the calendar, and integer counts
+    days = np.array(["0001-01-01", "2007-01-02", "9999-12-31"], dtype="datetime64[D]")
     buf = io.StringIO()
-    rl.write_count_series_csv(
-        [(D(2007, 1, 1), 3), (D(2007, 1, 2), 0.125)], buf
-    )
+    rl.write_count_series_csv((days, np.array([3, 0, 12345678901234])), buf)
     assert buf.getvalue().splitlines() == [
         "date,value",
-        "2007-01-01,3",
-        "2007-01-02,0.125",
+        "0001-01-01,3",
+        "2007-01-02,0",
+        "9999-12-31,1.23456789012e+13",
     ]
 
 
 def test_write_count_series_sig_digits():
+    days = np.array(["0001-01-01", "2007-01-02", "9999-12-31"], dtype="datetime64[D]")
     buf = io.StringIO()
-    rl.write_count_series_csv([(D(2007, 1, 1), 1 / 3)], buf)
-    assert buf.getvalue().splitlines()[1] == "2007-01-01,0.333333333333"
+    rl.write_count_series_csv((days, np.array([0.125, 1 / 3, 2.0])), buf)
+    assert buf.getvalue().splitlines()[1:] == [
+        "0001-01-01,0.125",
+        "2007-01-02,0.333333333333",
+        "9999-12-31,2",
+    ]
 
 
 def test_parse_from_path(tmp_path):

@@ -11,7 +11,7 @@ import ratinglab.panel as panel_module
 from ratinglab.dates import month_starts
 from oracles import state_on
 
-from conftest import cross_section, make_panel
+from conftest import cross_section, make_panel, series_rows
 
 D = dt.date
 SPAN = (D(2006, 1, 1), D(2012, 12, 31))
@@ -334,7 +334,7 @@ def test_daily_state_counts_matches_brute_force(specs):
     # cross-section and direct per-bank evaluation, on a grid of days and
     # on both sides of every entry and withdrawal
     panel = make_panel(SPAN, specs)
-    series = dict(rl.daily_counts(panel))
+    series = dict(series_rows(rl.daily_counts(panel)))
     assert all(v > 0 for v in series.values())
     edges = {d + dt.timedelta(days=e) for _, events, cov in specs for d in (events[0][0], cov)
              for e in (-1, 0, 1)}

@@ -1,6 +1,4 @@
-import pytest
-
-from ratinglab import N_STATES, RATING_LABELS, WITHDRAWN_LABEL, decode, encode
+from ratinglab import N_STATES, RATING_LABELS, WITHDRAWN_LABEL
 
 
 def test_scale_has_fifteen_unique_labels():
@@ -16,37 +14,6 @@ def test_orientation_worst_to_best():
         "E-", "E", "E+", "D-", "D", "D+", "C-", "C", "C+",
         "B-", "B", "B+", "A-", "A", "A+",
     )
-
-
-def test_encode_known_labels():
-    assert encode("E-") == 0
-    assert encode("A+") == 14
-    assert encode("C") == 7
-
-
-def test_decode_known_states():
-    assert decode(0) == "E-"
-    assert decode(7) == "C"
-    assert decode(14) == "A+"
-
-
-def test_round_trip_all_states():
-    for k in range(N_STATES):
-        assert encode(decode(k)) == k
-    for label in RATING_LABELS:
-        assert decode(encode(label)) == label
-
-
-def test_unknown_label_rejected():
-    for bad in ("Z+", "WR", "", "a+", "AA"):
-        with pytest.raises(ValueError):
-            encode(bad)
-
-
-def test_decode_out_of_range_rejected():
-    for bad in (-1, 15, 100):
-        with pytest.raises(ValueError):
-            decode(bad)
 
 
 def test_withdrawn_sentinel_is_not_a_state():
