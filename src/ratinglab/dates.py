@@ -8,6 +8,7 @@ converted to years as ``days / DAYS_PER_YEAR``.
 from __future__ import annotations
 
 import datetime as dt
+import re
 
 __all__ = ["DAYS_PER_YEAR"]
 
@@ -16,9 +17,17 @@ DAYS_PER_YEAR = 365.0
 
 
 def parse_iso_date(text: str) -> dt.date:
-    """Parse a ``YYYY-MM-DD`` string, raising ValueError on anything else."""
+    """Parse an ISO calendar date, raising ValueError on anything else.
+
+    Only ASCII ``YYYY-MM-DD`` and its basic form ``YYYYMMDD`` are dates,
+    on every Python version; :meth:`date.fromisoformat` reads week dates
+    such as ``2007-W10-1`` too, and the basic form only from Python 3.11.
+    """
     try:
-        return dt.date.fromisoformat(text)
+        match = re.fullmatch(r"([0-9]{4})(-?)([0-9]{2})\2([0-9]{2})", text)
+        if not match:
+            raise ValueError
+        return dt.date(int(match[1]), int(match[3]), int(match[4]))
     except ValueError:
         raise ValueError(f"invalid ISO date {text!r}") from None
 

@@ -15,9 +15,9 @@ Two statistics per analysis window:
 A window is two day offsets into the panel's span; its half-window
 midpoint and its length in years are taken from them.  A rolling
 series takes the change counts, exposures and cross-sections of its
-windows a pass of :meth:`Panel.month_passes` at a time; only the 15x15
-algebra is done window by window.  Series are written with
-:func:`textio.write_csv`.
+windows a pass of :meth:`Panel.month_passes` at a time, and each
+pass's windows go through the 15x15 algebra as one stack.  Series are
+written with :func:`textio.write_csv`.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ from .estimation import (
     transitions_through,
 )
 from .panel import Panel
+from .scale import N_STATES
 from .textio import format_float, write_csv
 
 __all__ = [
-    "TestPoint",
     "TestSeries",
     "homogeneity_statistic",
     "ck_deviation",
@@ -62,51 +62,45 @@ WINDOW_MONTHS = {"month": 1, "year": 12}
 
 
 @dataclass(frozen=True)
-class TestPoint:
-    window_start: dt.date
-    window_end: dt.date
-    value: float
-    n_transitions: int
-
-
-@dataclass(frozen=True)
 class TestSeries:
-    """Month-anchored sequence of one statistic over rolling windows."""
+    """Month-anchored sequence of one statistic over rolling windows, one array entry a window."""
 
     statistic: str
     window_length: str
-    points: tuple[TestPoint, ...]
+    window_start: np.ndarray
+    window_end: np.ndarray
+    values: np.ndarray
+    n_transitions: np.ndarray
 
     def __post_init__(self):
         if self.statistic not in STATISTICS:
             raise ValueError(f"unknown statistic {self.statistic!r}")
         if self.window_length not in WINDOW_MONTHS:
             raise ValueError(f"unknown window length {self.window_length!r}")
-        for a, b in zip(self.points, self.points[1:]):
-            if b.window_start <= a.window_start:
-                raise ValueError("window starts not strictly increasing")
-        if self.statistic == "ck_l2" and any(p.value < 0 for p in self.points):
+        columns = {"window_start": "datetime64[D]", "window_end": "datetime64[D]",
+                   "values": np.float64, "n_transitions": np.int64}
+        for name, dtype in columns.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if len({getattr(self, name).shape for name in columns}) != 1:
+            raise ValueError("series columns differ in shape")
+        if np.any(self.window_start[1:] <= self.window_start[:-1]):
+            raise ValueError("window starts not strictly increasing")
+        if self.statistic == "ck_l2" and np.any(self.values < 0):
             raise ValueError("ck_l2 values must be nonnegative")
 
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray([p.value for p in self.points], dtype=np.float64)
 
-
-def l2_norm(a: np.ndarray) -> float:
-    """Largest singular value of a real matrix."""
+def l2_norm(a: np.ndarray) -> np.ndarray:
+    """Largest singular value of each real matrix in a stack."""
     m = np.asarray(a, dtype=np.float64)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    return np.linalg.svd(m, compute_uv=False).max(axis=-1, initial=0.0)
 
 
 def homogeneity_statistic(
     m: TransitionMatrix, m_e: TransitionMatrix, counts: CountMatrix
-) -> float:
-    """Count-weighted mean log ratio between model and cohort matrices.
+) -> np.ndarray:
+    """Count-weighted mean log ratio between model and cohort matrices, per window.
 
     Entries of either matrix below :data:`PROBABILITY_FLOOR` are floored
     before the logs, so empty cells contribute a large-but-finite
@@ -115,21 +109,15 @@ def homogeneity_statistic(
     """
     n = counts.counts
     total = counts.total
-    if total == 0:
+    if np.any(total == 0):
         raise ValueError("homogeneity statistic undefined without transitions")
     p = np.maximum(m.entries, PROBABILITY_FLOOR)
     p_e = np.maximum(m_e.entries, PROBABILITY_FLOOR)
-    return float((n * (np.log(p) - np.log(p_e))).sum() / total)
+    terms = n * (np.log(p) - np.log(p_e))
+    return terms.reshape(terms.shape[:-2] + (N_STATES**2,)).sum(axis=-1) / total
 
 
-def _factorization_error(s0, sm, sf) -> float:
-    full = cohort_matrix(s0, sf)
-    first = cohort_matrix(s0, sm)
-    second = cohort_matrix(sm, sf)
-    return l2_norm(full.entries - first.entries @ second.entries)
-
-
-def ck_deviation(panel: Panel, t0: dt.date, tf: dt.date) -> float:
+def ck_deviation(panel: Panel, t0: dt.date, tf: dt.date) -> np.float64:
     """Half-window factorization error of the cohort matrices.
 
     With midpoint ``tm = t0 + (tf - t0) // 2`` days: the largest
@@ -138,7 +126,7 @@ def ck_deviation(panel: Panel, t0: dt.date, tf: dt.date) -> float:
     a, b = panel.window_days(t0, tf)
     if b - a < 2:
         raise ValueError(f"window must span at least 2 days, got {b - a}")
-    return _factorization_error(*panel.states_at_many([a, (a + b) // 2, b]))
+    return _windows(panel, "ck_l2", np.array([a, b]), 1)[2][0]
 
 
 def rolling_series(panel: Panel, statistic: str, window_length: str = "year") -> TestSeries:
@@ -150,53 +138,55 @@ def rolling_series(panel: Panel, statistic: str, window_length: str = "year") ->
     Each pass of :meth:`Panel.month_passes` takes running change
     counts and bank-days at its month starts, and the cross-sections on
     them (and on the half-window midpoints) from one
-    :meth:`Panel.cross_sections`.  Only the 15x15 algebra is per window.
+    :meth:`Panel.cross_sections`; the pass's windows are then one stack.
     """
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
     if window_length not in WINDOW_MONTHS:
         raise ValueError(f"unknown window length {window_length!r}")
     months = WINDOW_MONTHS[window_length]
-    points = []
-    for starts, grid in panel.month_passes(months):
-        points += _series_points(panel, statistic, starts, grid, months)
-    return TestSeries(statistic=statistic, window_length=window_length, points=tuple(points))
+    passes = [
+        _windows(panel, statistic, np.array(grid), months) for _, grid in panel.month_passes(months)
+    ]
+    columns = [np.concatenate(column) for column in zip(*passes)] or [[]] * 4
+    return TestSeries(statistic, window_length, *columns)
 
 
-def _series_points(panel: Panel, statistic: str, starts, grid, months: int) -> list[TestPoint]:
-    """The points of the windows from ``starts[k]`` to ``starts[k + months]``, on days ``grid``."""
+def _windows(panel: Panel, statistic: str, grid: np.ndarray, lag: int):
+    """The windows from day ``grid[k]`` to ``grid[k + lag]``, as one stack.
+
+    Returns the start and end dates, the value and the change count of
+    each window the statistic keeps.
+    """
+    a, b = grid[:-lag], grid[lag:]
     through = transitions_through(panel, grid)
-    if statistic == "homogeneity_L":
-        before = bank_days_before(panel, grid)
-        mid_days = []
+    counts = CountMatrix(counts=through[lag:] - through[:-lag])
+    if statistic == "ck_l2":
+        states, (at, mid_at) = panel.cross_sections(grid, (a + b) // 2)
+        s0, sm, sf = states[at[:-lag]], states[mid_at], states[at[lag:]]
+        full, first, second = cohort_matrix(s0, sf), cohort_matrix(s0, sm), cohort_matrix(sm, sf)
+        values = l2_norm(full.entries - first.entries @ second.entries)
     else:
-        mid_days = [(a + b) // 2 for a, b in zip(grid, grid[months:])]
-    states, (at, mid_at) = panel.cross_sections(grid, mid_days)
-    points = []
-    for k, (t0, tf) in enumerate(zip(starts, starts[months:])):
-        counts = CountMatrix(counts=through[k + months] - through[k])
-        s0, sf = states[at[k]], states[at[k + months]]
-        if statistic == "homogeneity_L":
-            if counts.total == 0:
-                continue
-            exposure = exposure_vector(before[k + months] - before[k])
-            years = (grid[k + months] - grid[k]) / DAYS_PER_YEAR
-            m = matrix_exponential(estimate_generator(counts, exposure), years)
-            value = homogeneity_statistic(m, cohort_matrix(s0, sf), counts)
-        else:
-            value = _factorization_error(s0, states[mid_at[k]], sf)
-        points.append(
-            TestPoint(window_start=t0, window_end=tf, value=value, n_transitions=counts.total)
-        )
-    return points
+        keep = counts.total > 0
+        a, b, counts = a[keep], b[keep], CountMatrix(counts=counts.counts[keep])
+        before = bank_days_before(panel, grid)
+        exposure = exposure_vector((before[lag:] - before[:-lag])[keep])
+        m = matrix_exponential(estimate_generator(counts, exposure), (b - a) / DAYS_PER_YEAR)
+        states = panel.states_at_many(grid)
+        m_e = cohort_matrix(states[:-lag][keep], states[lag:][keep])
+        values = homogeneity_statistic(m, m_e, counts)
+    origin = np.datetime64(panel.span[0], "D")
+    return origin + a, origin + b, values, counts.total
 
 
 def write_test_series_csv(series: TestSeries, target: Union[str, Path, IO[str]]) -> None:
     """CSV: ``window_start,window_end,statistic,value,abs_value,n_transitions``."""
     header = ["window_start", "window_end", "statistic", "value", "abs_value", "n_transitions"]
     rows = (
-        [p.window_start.isoformat(), p.window_end.isoformat(), series.statistic,
-         format_float(p.value), format_float(abs(p.value)), p.n_transitions]
-        for p in series.points
+        [t0, tf, series.statistic, format_float(value), format_float(abs(value)), n]
+        for t0, tf, value, n in zip(
+            series.window_start.astype(str), series.window_end.astype(str),
+            series.values.tolist(), series.n_transitions.tolist(),
+        )
     )
     write_csv(target, header, rows)

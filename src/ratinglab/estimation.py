@@ -9,7 +9,9 @@ is the model-free alternative built from start/end state pairs.
 
 A window is two day offsets into the panel's span, taken once from its
 dates by :meth:`Panel.window_days`; the matrices carry no window of
-their own.
+their own.  Each matrix type and estimator takes a stack of windows,
+shape ``(..., 15, 15)`` (``(..., 15)`` for exposure), and works on each
+window alone; a single window is the stack with no leading axis.
 """
 
 from __future__ import annotations
@@ -48,17 +50,18 @@ class CountMatrix:
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=np.int64)
-        if c.shape != (N_STATES, N_STATES):
+        if c.shape[-2:] != (N_STATES, N_STATES):
             raise ValueError(f"counts must be {N_STATES}x{N_STATES}")
         if np.any(c < 0):
             raise ValueError("negative transition count")
-        if np.any(np.diagonal(c) != 0):
+        if np.any(np.diagonal(c, axis1=-2, axis2=-1) != 0):
             raise ValueError("count matrix must have a zero diagonal")
         object.__setattr__(self, "counts", c)
 
     @property
-    def total(self) -> int:
-        return int(self.counts.sum())
+    def total(self) -> np.ndarray:
+        """The number of state changes in each window."""
+        return self.counts.sum(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ class ExposureVector:
 
     def __post_init__(self):
         e = np.asarray(self.exposure, dtype=np.float64)
-        if e.shape != (N_STATES,):
+        if e.shape[-1:] != (N_STATES,):
             raise ValueError(f"exposure must have length {N_STATES}")
         if np.any(e < 0):
             raise ValueError("negative exposure")
@@ -84,13 +87,13 @@ class TransitionMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=np.float64)
-        if m.shape != (N_STATES, N_STATES):
+        if m.shape[-2:] != (N_STATES, N_STATES):
             raise ValueError(f"entries must be {N_STATES}x{N_STATES}")
         if not np.all(np.isfinite(m)):
             raise ValueError("non-finite transition probability")
-        if m.min() < -ENTRY_TOL or m.max() > 1.0 + ENTRY_TOL:
+        if np.any(m < -ENTRY_TOL) or np.any(m > 1.0 + ENTRY_TOL):
             raise ValueError("transition probabilities outside [0, 1]")
-        row_err = np.abs(m.sum(axis=1) - 1.0).max()
+        row_err = np.abs(m.sum(axis=-1) - 1.0).max(initial=0.0)
         if row_err > ROW_SUM_TOL:
             raise ValueError(f"row sums deviate from 1 by {row_err:.3e}")
         object.__setattr__(self, "entries", m)
@@ -108,18 +111,17 @@ class GeneratorMatrix:
 
     def __post_init__(self):
         q = np.asarray(self.entries, dtype=np.float64)
-        if q.shape != (N_STATES, N_STATES):
+        if q.shape[-2:] != (N_STATES, N_STATES):
             raise ValueError(f"entries must be {N_STATES}x{N_STATES}")
         if not np.all(np.isfinite(q)):
             raise ValueError("non-finite generator entry")
-        off = q[~np.eye(N_STATES, dtype=bool)]
-        if off.min() < 0.0:
+        if np.any(q[..., ~np.eye(N_STATES, dtype=bool)] < 0.0):
             raise ValueError("negative off-diagonal rate")
         # Roundoff in a row sum grows with the row's magnitude, here its largest
         # entry, which cannot overflow; an overflowing row sum is inf and fails.
         with np.errstate(over="ignore"):
-            row_err = np.abs(q.sum(axis=1))
-        if np.any(row_err > GENERATOR_ROW_SUM_TOL * np.maximum(np.abs(q).max(axis=1), 1.0)):
+            row_err = np.abs(q.sum(axis=-1))
+        if np.any(row_err > GENERATOR_ROW_SUM_TOL * np.maximum(np.abs(q).max(axis=-1), 1.0)):
             raise ValueError(f"row sums deviate from 0 by {row_err.max():.3e}")
         object.__setattr__(self, "entries", q)
 
@@ -192,41 +194,39 @@ def exposure_vector(bank_days: np.ndarray) -> ExposureVector:
 
 
 def estimate_generator(counts: CountMatrix, exposure: ExposureVector) -> GeneratorMatrix:
-    """Duration estimate of the constant generator over one window.
+    """Duration estimate of the constant generator over each window.
 
     Off-diagonal: counts[i, j] / exposure[i]; the diagonal makes each
     row sum to zero.  States with zero exposure get an all-zero row
     (nothing was observed there); counts in such a row are inconsistent
     inputs and raise.
     """
-    e = exposure.exposure
+    e = exposure.exposure[..., None]
     c = counts.counts.astype(np.float64)
-    empty = e == 0.0
-    inconsistent = empty & (c.sum(axis=1) > 0)
+    inconsistent = (e == 0.0) & (c > 0)
     if np.any(inconsistent):
-        bad = int(np.nonzero(inconsistent)[0][0])
+        bad = int(np.nonzero(inconsistent)[-2][0])
         raise ValueError(f"state {bad}: transitions recorded with zero exposure")
-    q = np.zeros((N_STATES, N_STATES), dtype=np.float64)
-    occupied = ~empty
-    q[occupied] = c[occupied] / e[occupied, None]
-    np.fill_diagonal(q, -q.sum(axis=1))
+    q = np.divide(c, e, out=np.zeros(np.broadcast_shapes(c.shape, e.shape)), where=e != 0.0)
+    diag = np.arange(N_STATES)
+    q[..., diag, diag] = -q.sum(axis=-1)
     return GeneratorMatrix(entries=q)
 
 
-def matrix_exponential(q: GeneratorMatrix, t: float) -> TransitionMatrix:
-    """Transition matrix ``exp(Q t)`` for a window of ``t`` years.
+def matrix_exponential(q: GeneratorMatrix, t: float | np.ndarray) -> TransitionMatrix:
+    """Transition matrix ``exp(Q t)`` for each window, of ``t`` years each.
 
-    Delegates to scipy's scaling-and-squaring Pade implementation; the
-    result is validated against the row-stochastic invariants.  scipy
-    is imported on first use: only ``homogeneity`` needs it, and it is
-    most of the package's import time.
+    Delegates to scipy's scaling-and-squaring Pade implementation, which
+    takes the windows one by one; the result is validated against the
+    row-stochastic invariants.  scipy is imported on first use: only
+    ``homogeneity`` needs it, and it is most of the package's import time.
     """
     import scipy.linalg
 
-    if not np.isfinite(t) or t < 0:
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all(np.isfinite(t) & (t >= 0)):
         raise ValueError(f"t must be a finite nonnegative duration, got {t}")
-    m = scipy.linalg.expm(q.entries * float(t))
-    return TransitionMatrix(entries=m)
+    return TransitionMatrix(entries=scipy.linalg.expm(q.entries * t[..., None, None]))
 
 
 def empirical_transition_matrix(panel: Panel, t0: dt.date, tf: dt.date) -> TransitionMatrix:
@@ -241,13 +241,18 @@ def empirical_transition_matrix(panel: Panel, t0: dt.date, tf: dt.date) -> Trans
 
 
 def cohort_matrix(start: np.ndarray, end: np.ndarray) -> TransitionMatrix:
-    """Cohort matrix from the cross-sections on a window's two ends (-1: unrated)."""
-    both = (start >= 0) & (end >= 0)
-    # Widen before scaling: int8 cross-sections would wrap at 14 * 15.
-    pair = start[both].astype(np.int64) * N_STATES + end[both]
-    counts = np.bincount(pair, minlength=N_STATES * N_STATES).reshape(N_STATES, N_STATES)
-    totals = counts.sum(axis=1)
-    m = np.eye(N_STATES, dtype=np.float64)
-    occupied = totals > 0
-    m[occupied] = counts[occupied] / totals[occupied, None]
+    """Cohort matrices from the cross-sections on each window's two ends (-1: unrated).
+
+    ``start`` and ``end`` are ``(..., n_banks)``; the pairs are counted
+    one window at a time, which keeps the temporaries to one row's size.
+    """
+    counts = np.empty(start.shape[:-1] + (N_STATES, N_STATES), dtype=np.int64)
+    for w in np.ndindex(start.shape[:-1]):
+        both = (start[w] >= 0) & (end[w] >= 0)
+        # Widen before scaling: int8 cross-sections would wrap at 14 * 15.
+        pair = start[w][both].astype(np.int64) * N_STATES + end[w][both]
+        counts[w] = np.bincount(pair, minlength=N_STATES * N_STATES).reshape(N_STATES, N_STATES)
+    totals = counts.sum(axis=-1, keepdims=True)
+    m = np.broadcast_to(np.eye(N_STATES), counts.shape).copy()
+    np.divide(counts, totals, out=m, where=totals > 0)
     return TransitionMatrix(entries=m)

@@ -1,7 +1,7 @@
 """Event-CSV interchange: parsing, validation, and daily count series.
 
 Input format: UTF-8 CSV with header ``bank_id,date,rating``; dates are
-``YYYY-MM-DD``; ratings are the 15 scale labels plus the sentinel ``WR``
+``YYYY-MM-DD`` or ``YYYYMMDD``; ratings are the 15 scale labels plus the sentinel ``WR``
 which withdraws the bank (coverage closes the day before).  Rows may
 appear in any order.  Re-affirmations (consecutive rows repeating a
 bank's current state) are collapsed so that "transition" always means a

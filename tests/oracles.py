@@ -14,6 +14,7 @@ import datetime as dt
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -298,8 +299,12 @@ class OracleSpanError(Exception):
 
 
 def _iso_date(text):
+    # ISO calendar dates only, extended or basic, in ASCII digits
     try:
-        return dt.date.fromisoformat(text)
+        if not re.fullmatch(r"[0-9]{4}-?[0-9]{2}-?[0-9]{2}", text) or text.count("-") == 1:
+            raise ValueError
+        digits = text.replace("-", "")
+        return dt.date.fromisoformat(f"{digits[:4]}-{digits[4:6]}-{digits[6:]}")
     except ValueError:
         raise ValueError(f"invalid ISO date {text!r}") from None
 

@@ -31,7 +31,7 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     exec(compile(block, str(README), "exec"), names)
     assert names["panel"].n_banks == 50
     assert names["counts"].total > 0
-    assert names["series"].statistic == "homogeneity_L" and names["series"].points
+    assert names["series"].statistic == "homogeneity_L" and len(names["series"].values)
 
 
 @pytest.mark.parametrize(

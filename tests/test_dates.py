@@ -9,7 +9,7 @@ from ratinglab.dates import (
     month_starts,
     parse_iso_date,
 )
-from oracles import add_months
+from oracles import _iso_date, add_months
 
 
 def test_days_per_year_constant():
@@ -19,12 +19,36 @@ def test_days_per_year_constant():
 def test_parse_iso_date():
     assert parse_iso_date("2007-01-01") == dt.date(2007, 1, 1)
     assert parse_iso_date("2016-12-31") == dt.date(2016, 12, 31)
+    # the basic calendar form, which the golden panel's rows use
+    assert parse_iso_date("20070101") == dt.date(2007, 1, 1)
 
 
-@pytest.mark.parametrize("bad", ["2007/01/01", "01-01-2007", "2007-13-01", "", "yesterday"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "2007/01/01", "01-01-2007", "2007-13-01", "", "yesterday",
+        # week dates, which date.fromisoformat would read, and mixed separators
+        "2007W011", "2007-W10-1", "2007W01", "2007-0101", "200701-01",
+        "\uff12\uff10\uff10\uff17-01-01", "2007-01-01\n", " 2007-01-01",
+    ],
+)
 def test_parse_iso_date_rejects(bad):
     with pytest.raises(ValueError):
         parse_iso_date(bad)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(st.text(alphabet="0123456789-W ", max_size=11) | st.dates().map(
+    lambda d: d.isoformat() if d.day % 2 else f"{d.year:04d}{d.month:02d}{d.day:02d}"
+))
+def test_parse_iso_date_matches_oracle(text):
+    assert _outcome(parse_iso_date, text) == _outcome(_iso_date, text)
 
 
 # -- add_months: the oracle test_month_starts_properties probes with --

@@ -57,6 +57,26 @@ def test_l2_norm_rejects_non_finite():
         rl.l2_norm(a)
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_l2_norm_stack_equals_slices():
+    rng = np.random.Generator(np.random.PCG64(11))
+    stack = rng.uniform(-2, 2, size=(2, 4, 15, 15))
+    got = rl.l2_norm(stack)
+    assert got.shape == (2, 4)
+    for w in np.ndindex(2, 4):
+        assert same_bits(got[w], rl.l2_norm(stack[w]))
+    assert rl.l2_norm(np.zeros((0, 15, 15))).shape == (0,)
+    assert rl.l2_norm(np.zeros((0, 0))) == 0.0
+    bad = np.zeros((3, 15, 15))
+    bad[1, 4, 4] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        rl.l2_norm(bad)
+
+
 # -- homogeneity_statistic --------------------------------------------
 
 
@@ -134,6 +154,37 @@ def test_homogeneity_floors_empty_cells():
     )
     assert math.isfinite(value)
     assert value == pytest.approx(math.log(0.1) - math.log(1e-12), rel=1e-12)
+
+
+def random_homogeneity_inputs(rng, windows):
+    counts = rng.integers(0, 4, size=(windows, 15, 15)) * (rng.random((windows, 15, 15)) < 0.3)
+    counts[:, np.arange(15), np.arange(15)] = 0
+    counts[:, 0, 1] += 1  # every window has a transition
+    m, m_e = (rng.dirichlet(np.full(15, 0.3), size=(windows, 15)) for _ in range(2))
+    return rl.TransitionMatrix(m), rl.TransitionMatrix(m_e), rl.CountMatrix(counts)
+
+
+def test_homogeneity_stack_equals_slices():
+    m, m_e, counts = random_homogeneity_inputs(np.random.Generator(np.random.PCG64(5)), 6)
+    got = rl.homogeneity_statistic(m, m_e, counts)
+    assert got.shape == (6,)
+    for w in range(6):
+        one = rl.homogeneity_statistic(
+            rl.TransitionMatrix(m.entries[w]), rl.TransitionMatrix(m_e.entries[w]),
+            rl.CountMatrix(counts.counts[w]),
+        )
+        assert float.hex(float(got[w])) == float.hex(float(one))
+    empty = rl.TransitionMatrix(np.zeros((0, 15, 15)))
+    no_counts = rl.CountMatrix(np.zeros((0, 15, 15)))
+    assert rl.homogeneity_statistic(empty, empty, no_counts).shape == (0,)
+
+
+def test_homogeneity_rejects_a_stack_with_one_quiet_window():
+    m, m_e, counts = random_homogeneity_inputs(np.random.Generator(np.random.PCG64(6)), 4)
+    quiet = counts.counts.copy()
+    quiet[2] = 0
+    with pytest.raises(ValueError, match="undefined without transitions"):
+        rl.homogeneity_statistic(m, m_e, rl.CountMatrix(quiet))
 
 
 # -- ck_deviation -----------------------------------------------------
@@ -227,21 +278,35 @@ def test_rolling_yearly_point_budget():
     span = (D(2007, 1, 1), D(2012, 12, 31))
     p = make_panel(span, [("b1", [(span[0], 5)], None)])
     series = rl.rolling_series(p, "ck_l2", "year")
-    assert len(series.points) <= 61
-    assert len(series.points) == 60
-    assert all(v == 0.0 for v in series.values)
-    first = series.points[0]
-    assert first.window_start == D(2007, 1, 1)
-    assert first.window_end == D(2008, 1, 1)
-    assert series.points[-1].window_start == D(2011, 12, 1)
+    assert len(series.values) <= 61
+    assert len(series.values) == 60
+    assert np.all(series.values == 0.0)
+    assert series.window_start[0] == np.datetime64("2007-01-01")
+    assert series.window_end[0] == np.datetime64("2008-01-01")
+    assert series.window_start[-1] == np.datetime64("2011-12-01")
 
 
 def test_rolling_monthly_point_budget():
     span = (D(2007, 1, 1), D(2008, 1, 1))
     p = make_panel(span, [("b1", [(span[0], 5)], None)])
     series = rl.rolling_series(p, "ck_l2", "month")
-    assert len(series.points) == 12
-    assert series.points[0].window_end == D(2007, 2, 1)
+    assert len(series.values) == 12
+    assert series.window_end[0] == np.datetime64("2007-02-01")
+
+
+def test_rolling_series_holds_one_array_entry_per_window():
+    span = (D(2007, 1, 1), D(2008, 1, 1))
+    p = make_panel(span, [("b1", [(span[0], 5), (D(2007, 3, 10), 4)], None)])
+    columns = ("window_start", "window_end", "values", "n_transitions")
+    series = rl.rolling_series(p, "ck_l2", "month")
+    dtypes = [getattr(series, name).dtype for name in columns]
+    assert dtypes == [np.dtype("datetime64[D]")] * 2 + [np.dtype(np.float64), np.dtype(np.int64)]
+    assert series.n_transitions.tolist() == [0, 0, 1] + [0] * 9
+    # a span shorter than one window has no windows
+    p = make_panel((span[0], D(2007, 1, 31)), [("b1", [(span[0], 5)], None)])
+    short = rl.rolling_series(p, "homogeneity_L", "month")
+    assert [getattr(short, name).shape for name in columns] == [(0,)] * 4
+    assert [getattr(short, name).dtype for name in columns] == dtypes
 
 
 def test_rolling_homogeneity_omits_quiet_windows():
@@ -254,19 +319,18 @@ def test_rolling_homogeneity_omits_quiet_windows():
         ],
     )
     series = rl.rolling_series(p, "homogeneity_L", "year")
-    starts = [pt.window_start for pt in series.points]
-    assert starts == [D(2007, m, 1) for m in range(1, 7)]
-    assert all(pt.n_transitions == 1 for pt in series.points)
+    assert series.window_start.tolist() == [D(2007, m, 1) for m in range(1, 7)]
+    assert np.all(series.n_transitions == 1)
     # ck keeps every window
     ck = rl.rolling_series(p, "ck_l2", "year")
-    assert len(ck.points) == 13
+    assert len(ck.values) == 13
 
 
 def test_rolling_series_dates_strictly_increase(homogeneous_panel):
     panel, _ = homogeneous_panel
     for stat in ("homogeneity_L", "ck_l2"):
         series = rl.rolling_series(panel, stat, "month")
-        starts = [pt.window_start for pt in series.points]
+        starts = series.window_start.tolist()
         assert starts == sorted(starts)
         assert len(set(starts)) == len(starts)
 
@@ -282,8 +346,9 @@ def test_rolling_magnitudes_sane(homogeneous_panel):
 
 @given(mid_month_panels(), st.sampled_from(["month", "year"]), st.sampled_from([1, 3, 600]))
 def test_rolling_series_windows_match_oracles(panel, window, per_pass):
-    # Record what every window hands to the per-window algebra, in call
-    # order, taking the windows in passes of 1, 3 or all.
+    # Record the stacks each pass hands to the window algebra, in call
+    # order, taking the windows in passes of 1, 3 or all; then split each
+    # stack into its windows and check every one against the oracles.
     fit, cohort = diagnostics.estimate_generator, diagnostics.cohort_matrix
     fits, cohorts = [], []
 
@@ -292,8 +357,9 @@ def test_rolling_series_windows_match_oracles(panel, window, per_pass):
         return fit(counts, exposure)
 
     def spy_cohort(start, end):
-        cohorts.append(cohort(start, end).entries)
-        return cohort(start, end)
+        m = cohort(start, end)
+        cohorts.append(m.entries)
+        return m
 
     with mock.patch.multiple(
         diagnostics, estimate_generator=spy_fit, cohort_matrix=spy_cohort
@@ -304,27 +370,31 @@ def test_rolling_series_windows_match_oracles(panel, window, per_pass):
     hist = raw_histories(panel)
     starts = month_starts(*panel.span)
     windows = list(zip(starts, starts[diagnostics.WINDOW_MONTHS[window] :]))
-    assert [(p.window_start, p.window_end) for p in ck.points] == windows
-    fitted, cohort_windows = [], []
-    for (t0, tf), point in zip(windows, ck.points):
-        counts, exposure = window_counts_exposures(hist, t0, tf)
-        assert point.n_transitions == counts.sum()
-        if counts.sum():
-            fitted.append((counts, exposure))
-            cohort_windows.append((t0, tf))
-    # ck takes the full window and its two halves, split at the floor midpoint
-    for t0, tf in windows:
-        tm = t0 + dt.timedelta(days=(tf - t0).days // 2)
-        cohort_windows += [(t0, tf), (t0, tm), (tm, tf)]
-    homogeneity_windows = [(p.window_start, p.window_end) for p in homogeneity.points]
-    assert homogeneity_windows == cohort_windows[: len(fitted)]
-    assert len(fits) == len(fitted)  # windows without transitions are not fitted
-    for (got_counts, got_exposure), (counts, exposure) in zip(fits, fitted):
-        assert np.array_equal(got_counts, counts)
-        assert np.array_equal(got_exposure, exposure)
-    assert len(cohorts) == len(cohort_windows)
-    for m, (t0, tf) in zip(cohorts, cohort_windows):
-        assert np.array_equal(m, cohort_matrix(hist, t0, tf))
+    passes = [windows[i : i + per_pass] for i in range(0, len(windows), per_pass)]
+    assert list(zip(ck.window_start.tolist(), ck.window_end.tolist())) == windows
+    oracle = {w: window_counts_exposures(hist, *w) for w in windows}
+    assert ck.n_transitions.tolist() == [np.sum(oracle[w][0]) for w in windows]
+    # windows without transitions are not fitted
+    fitted = [[w for w in p if np.sum(oracle[w][0])] for p in passes]
+    got = list(zip(homogeneity.window_start.tolist(), homogeneity.window_end.tolist()))
+    assert got == [w for p in fitted for w in p]
+    # one stacked fit a pass
+    assert [len(counts) for counts, _ in fits] == [len(p) for p in fitted]
+    for (counts, exposure), p in zip(fits, fitted):
+        for got_counts, got_exposure, w in zip(counts, exposure, p):
+            assert np.array_equal(got_counts, oracle[w][0])
+            assert np.array_equal(got_exposure, oracle[w][1])
+    # homogeneity takes one cohort stack a pass; ck three, the full windows
+    # and their two halves, split at the floor midpoint
+    cohort_windows = list(fitted)
+    for p in passes:
+        mids = [t0 + dt.timedelta(days=(tf - t0).days // 2) for t0, tf in p]
+        cohort_windows += [p, [(t0, tm) for (t0, _), tm in zip(p, mids)],
+                           [(tm, tf) for (_, tf), tm in zip(p, mids)]]
+    assert [len(stack) for stack in cohorts] == [len(ws) for ws in cohort_windows]
+    for stack, ws in zip(cohorts, cohort_windows):
+        for m, (t0, tf) in zip(stack, ws):
+            assert np.array_equal(m, cohort_matrix(hist, t0, tf))
 
 
 def test_rolling_rejects_unknown_names():
@@ -337,27 +407,33 @@ def test_rolling_rejects_unknown_names():
 
 # -- TestSeries validation and CSV -------------------------------------
 
+STARTS = np.array(["2007-01-01", "2007-02-01"], dtype="datetime64[D]")
+ENDS = np.array(["2008-01-01", "2008-02-01"], dtype="datetime64[D]")
+
 
 def test_series_validation():
-    pt = rl.TestPoint(D(2007, 1, 1), D(2008, 1, 1), 0.5, 3)
-    pt2 = rl.TestPoint(D(2007, 2, 1), D(2008, 2, 1), -0.5, 1)
-    rl.TestSeries("homogeneity_L", "year", (pt, pt2))
-    with pytest.raises(ValueError):
-        rl.TestSeries("bogus", "year", (pt,))
-    with pytest.raises(ValueError):
-        rl.TestSeries("homogeneity_L", "decade", (pt,))
-    with pytest.raises(ValueError):  # out of order
-        rl.TestSeries("homogeneity_L", "year", (pt2, pt))
-    with pytest.raises(ValueError):  # negative ck value
-        rl.TestSeries("ck_l2", "year", (pt2,))
+    values, n = np.array([0.5, -0.5]), np.array([3, 1])
+    rl.TestSeries("homogeneity_L", "year", STARTS, ENDS, values, n)
+    with pytest.raises(ValueError, match="unknown statistic"):
+        rl.TestSeries("bogus", "year", STARTS, ENDS, values, n)
+    with pytest.raises(ValueError, match="unknown window length"):
+        rl.TestSeries("homogeneity_L", "decade", STARTS, ENDS, values, n)
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        rl.TestSeries("homogeneity_L", "year", STARTS[::-1], ENDS[::-1], values[::-1], n[::-1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        rl.TestSeries("ck_l2", "year", STARTS[1:], ENDS[1:], values[1:], n[1:])
+    with pytest.raises(ValueError, match="differ in shape"):
+        rl.TestSeries("homogeneity_L", "year", STARTS, ENDS, values[:1], n)
+    # dates may be given as datetime.date, and no windows is a valid series
+    dated = rl.TestSeries("ck_l2", "month", [D(2007, 1, 1)], [D(2007, 2, 1)], [0.0], [0])
+    assert dated.window_start.dtype == np.dtype("datetime64[D]")
+    assert len(rl.TestSeries("ck_l2", "month", [], [], [], []).values) == 0
 
 
 def test_series_csv_format():
-    pts = (
-        rl.TestPoint(D(2007, 1, 1), D(2008, 1, 1), -0.25, 4),
-        rl.TestPoint(D(2007, 2, 1), D(2008, 2, 1), 0.125, 2),
+    series = rl.TestSeries(
+        "homogeneity_L", "year", STARTS, ENDS, np.array([-0.25, 0.125]), np.array([4, 2])
     )
-    series = rl.TestSeries("homogeneity_L", "year", pts)
     buf = io.StringIO()
     rl.write_test_series_csv(series, buf)
     lines = buf.getvalue().splitlines()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ratinglab as rl
+import ratinglab.estimation as estimation
 from oracles import cohort_matrix, taylor_expm, window_counts_exposures
 
 from conftest import make_panel, raw_histories
@@ -391,6 +392,136 @@ def test_counts_exposures_match_brute_force(homogeneous_panel):
     assert np.array_equal(cm.counts, np.asarray(counts_o))
     # oracle accumulates 1/365 day by day; allow its summation roundoff
     assert np.allclose(ev.exposure, np.asarray(expo_o), rtol=0, atol=1e-9)
+
+
+# -- stacks of windows ---------------------------------------------------
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def random_fit_inputs(rng, shape):
+    """Counts and exposures with some unoccupied states, whose rows are empty."""
+    exposure = rng.uniform(0.1, 3.0, size=shape + (15,)) * (rng.random(shape + (15,)) < 0.8)
+    counts = rng.integers(0, 6, size=shape + (15, 15)) * (exposure[..., None] > 0)
+    counts[..., np.arange(15), np.arange(15)] = 0
+    return rl.CountMatrix(counts), rl.ExposureVector(exposure)
+
+
+def test_cohort_matrix_stack_equals_slices():
+    rng = np.random.Generator(np.random.PCG64(1))
+    start = rng.integers(-1, 15, size=(2, 3, 40)).astype(np.int8)
+    end = rng.integers(-1, 15, size=(2, 3, 40)).astype(np.int8)
+    start[1, 2] = -1  # a window with every cohort empty
+    got = estimation.cohort_matrix(start, end).entries
+    assert got.shape == (2, 3, 15, 15)
+    for w in np.ndindex(2, 3):
+        assert same_bits(got[w], estimation.cohort_matrix(start[w], end[w]).entries)
+    assert np.array_equal(got[1, 2], np.eye(15))
+    empty = np.zeros((0, 40), dtype=np.int8)
+    assert estimation.cohort_matrix(empty, empty).entries.shape == (0, 15, 15)
+
+
+def test_estimate_generator_stack_equals_slices():
+    counts, exposure = random_fit_inputs(np.random.Generator(np.random.PCG64(2)), (3, 4))
+    got = rl.estimate_generator(counts, exposure).entries
+    assert got.shape == (3, 4, 15, 15)
+    for w in np.ndindex(3, 4):
+        one = rl.estimate_generator(
+            rl.CountMatrix(counts.counts[w]), rl.ExposureVector(exposure.exposure[w])
+        )
+        assert same_bits(got[w], one.entries)
+    empty = rl.estimate_generator(
+        rl.CountMatrix(np.zeros((0, 15, 15))), rl.ExposureVector(np.zeros((0, 15)))
+    )
+    assert empty.entries.shape == (0, 15, 15)
+
+
+def test_estimate_generator_names_the_state_of_an_inconsistent_window():
+    counts, exposure = random_fit_inputs(np.random.Generator(np.random.PCG64(3)), (4,))
+    c, e = counts.counts.copy(), exposure.exposure.copy()
+    e[2, 6] = 0.0
+    c[2, 6, 9] = 1
+    with pytest.raises(ValueError, match="^state 6: transitions recorded with zero exposure$"):
+        rl.estimate_generator(rl.CountMatrix(c), rl.ExposureVector(e))
+
+
+def test_matrix_exponential_stack_equals_slices():
+    counts, exposure = random_fit_inputs(np.random.Generator(np.random.PCG64(4)), (5,))
+    q = rl.estimate_generator(counts, exposure)
+    t = np.array([0.0, 1 / 12, 1.0, 2.5, 31 / 365])
+    got = rl.matrix_exponential(q, t).entries
+    for w in range(5):
+        one = rl.matrix_exponential(rl.GeneratorMatrix(q.entries[w]), t[w])
+        assert same_bits(got[w], one.entries)
+    # one duration for every window
+    assert same_bits(rl.matrix_exponential(q, 1.0).entries[2], got[2])
+    with pytest.raises(ValueError, match="finite nonnegative"):
+        rl.matrix_exponential(q, np.array([1.0, 1.0, -1.0, 1.0, 1.0]))
+    empty = rl.matrix_exponential(rl.GeneratorMatrix(np.zeros((0, 15, 15))), np.zeros(0))
+    assert empty.entries.shape == (0, 15, 15)
+
+
+def _break_cell(value, index=(3, 4)):
+    def breaks(a):
+        a[(2,) + index] = value
+        return a
+    return breaks
+
+
+def _unbalance(a):
+    a[2, 5, 5] -= 1e-3
+    return a
+
+
+COUNTS = np.zeros((4, 15, 15), np.int64)
+EYES = np.tile(np.eye(15), (4, 1, 1))
+ZEROS = np.zeros((4, 15, 15))
+
+
+@pytest.mark.parametrize(
+    "cls, good, breaks, message",
+    [
+        (rl.CountMatrix, COUNTS, _break_cell(-1), "^negative transition count$"),
+        (rl.CountMatrix, COUNTS, _break_cell(1, (4, 4)), "^count matrix must have a zero diagonal$"),
+        (rl.CountMatrix, np.zeros((4, 14, 15), np.int64), None, "^counts must be 15x15$"),
+        (rl.ExposureVector, np.ones((4, 15)), _break_cell(-1.0, (3,)), "^negative exposure$"),
+        (rl.ExposureVector, np.ones((4, 14)), None, "^exposure must have length 15$"),
+        (rl.TransitionMatrix, EYES, _break_cell(np.nan), "^non-finite transition probability$"),
+        (rl.TransitionMatrix, EYES, _break_cell(-0.5, (3, 3)),
+         r"^transition probabilities outside \[0, 1\]$"),
+        (rl.TransitionMatrix, EYES, _break_cell(0.5), "^row sums deviate from 1 by 5.000e-01$"),
+        (rl.TransitionMatrix, np.zeros((4, 15, 14)), None, "^entries must be 15x15$"),
+        (rl.GeneratorMatrix, ZEROS, _break_cell(np.inf), "^non-finite generator entry$"),
+        (rl.GeneratorMatrix, ZEROS, _break_cell(-0.1), "^negative off-diagonal rate$"),
+        (rl.GeneratorMatrix, ZEROS, _unbalance, "^row sums deviate from 0 by 1.000e-03$"),
+        (rl.GeneratorMatrix, np.zeros((4, 1, 15, 14)), None, "^entries must be 15x15$"),
+    ],
+)
+def test_matrix_types_check_every_window_of_a_stack(cls, good, breaks, message):
+    # the stack loads whole, then fails with one window broken
+    if breaks is not None:
+        cls(good.copy())
+        good = breaks(good.copy())
+    with pytest.raises(ValueError, match=message):
+        cls(good)
+
+
+def test_matrix_types_take_empty_stacks():
+    counts = rl.CountMatrix(np.zeros((0, 15, 15)))
+    assert counts.total.shape == (0,)
+    assert rl.ExposureVector(np.zeros((0, 15))).exposure.shape == (0, 15)
+    assert rl.TransitionMatrix(np.zeros((0, 15, 15))).entries.shape == (0, 15, 15)
+    assert rl.GeneratorMatrix(np.zeros((0, 3, 15, 15))).entries.shape == (0, 3, 15, 15)
+
+
+def test_count_matrix_total_per_window():
+    c = np.zeros((3, 15, 15), dtype=np.int64)
+    c[0, 1, 2], c[2, 5, 4], c[2, 4, 5] = 2, 1, 3
+    assert rl.CountMatrix(c).total.tolist() == [2, 0, 4]
+    assert rl.CountMatrix(c[2]).total == 4
 
 
 # -- estimator consistency on simulated panels -------------------------
