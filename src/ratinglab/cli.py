@@ -112,7 +112,9 @@ def _load_panel(args):
     try:
         return parse_panel(path, (args.span_from, args.span_to))
     except SpanError as exc:
-        raise _UsageError(f"--to {exc.end} is before --from {exc.start}") from None
+        start = "the earliest record date" if args.span_from is None else "--from"
+        end = "the latest record date" if args.span_to is None else "--to"
+        raise _UsageError(f"{end} {exc.end} is before {start} {exc.start}") from None
 
 
 def _prepare_file(path_text: str) -> Path:

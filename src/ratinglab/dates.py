@@ -19,15 +19,15 @@ DAYS_PER_YEAR = 365.0
 def parse_iso_date(text: str) -> dt.date:
     """Parse an ISO calendar date, raising ValueError on anything else.
 
-    Only ASCII ``YYYY-MM-DD`` and its basic form ``YYYYMMDD`` are dates,
-    on every Python version; :meth:`date.fromisoformat` reads week dates
-    such as ``2007-W10-1`` too, and the basic form only from Python 3.11.
+    Only ASCII ``YYYY-MM-DD`` is a date, on every Python version; from
+    Python 3.11, :meth:`date.fromisoformat` also reads the basic form
+    ``20070101`` and week dates such as ``2007-W10-1``.
     """
     try:
-        match = re.fullmatch(r"([0-9]{4})(-?)([0-9]{2})\2([0-9]{2})", text)
+        match = re.fullmatch(r"([0-9]{4})-([0-9]{2})-([0-9]{2})", text)
         if not match:
             raise ValueError
-        return dt.date(int(match[1]), int(match[3]), int(match[4]))
+        return dt.date(int(match[1]), int(match[2]), int(match[3]))
     except ValueError:
         raise ValueError(f"invalid ISO date {text!r}") from None
 

@@ -1,16 +1,17 @@
 """Event-CSV interchange: parsing, validation, and daily count series.
 
 Input format: UTF-8 CSV with header ``bank_id,date,rating``; dates are
-``YYYY-MM-DD`` or ``YYYYMMDD``; ratings are the 15 scale labels plus the sentinel ``WR``
+``YYYY-MM-DD``; ratings are the 15 scale labels plus the sentinel ``WR``
 which withdraws the bank (coverage closes the day before).  Rows may
 appear in any order.  Re-affirmations (consecutive rows repeating a
 bank's current state) are collapsed so that "transition" always means a
 state change.
 
 A source is read once: a streaming ``csv.reader`` pass interns every
-field as an integer code, dates are parsed once per distinct text, and
-the span, the checks and the collapse into the panel's arrays are
-vectorised.  Each check names the row a row-by-row reader would.
+field as an integer code, dates are parsed once per distinct text, a
+missing end of the span is taken from those distinct dates, and the
+checks and the collapse into the panel's arrays are vectorised.  Each
+check names the row a row-by-row reader would.
 
 The daily count series are read off the panel's arrays: the rated
 banks on each day are a running sum of coverage starts less ends.
@@ -64,193 +65,178 @@ def _records(stream) -> Iterator[list[str]]:
         raise DataFormatError(str(exc), row=row + 1) from None
 
 
-class _EventColumns:
-    """One event CSV as code columns, from a single streaming read.
-
-    Reading stops at the first row without three fields: whichever
-    check runs, that row's error wins over every later row's.
-    """
-
-    def __init__(self, source: Source):
-        banks, dates, labels = {}, {}, {}
-        bank_col, date_col, label_col = [], [], []
-        self.blanks: list[int] = []  # data rows read before each blank line
-        self.bad_width: Optional[tuple[int, int]] = None  # (row, field count)
-        with text_stream(source) as stream:
-            reader = _records(stream)
-            header = next(reader, None)
-            self.empty = header is None  # not even a header line
-            if header is not None and tuple(h.strip() for h in header) != HEADER:
-                raise DataFormatError(
-                    f"expected header {','.join(HEADER)!r}, got {','.join(header)!r}", row=1
-                )
-            for row in reader:
-                if len(row) == 3:
-                    b, d, lab = row
-                    bank_col.append(banks.setdefault(b, len(banks)))
-                    date_col.append(dates.setdefault(d, len(dates)))
-                    label_col.append(labels.setdefault(lab, len(labels)))
-                elif row:
-                    self.bad_width = (2 + len(bank_col) + len(self.blanks), len(row))
-                    break
-                else:
-                    self.blanks.append(len(bank_col))
-
-        # Raw bank texts that strip to the same id share the id's code,
-        # numbered in order of first appearance.
-        ids: dict[str, int] = {}
-        canonical = np.array([ids.setdefault(b.strip(), len(ids)) for b in banks], dtype=np.int64)
-        self.bank_ids = list(ids)
-        self.bank = canonical[np.array(bank_col, dtype=np.int64)]
-
-        ordinals, self.date_errors = [], {}
-        for code, text in enumerate(dates):
-            try:
-                ordinals.append(parse_iso_date(text.strip()).toordinal())
-            except ValueError as exc:
-                ordinals.append(0)  # ordinals of real dates start at 1
-                self.date_errors[code] = str(exc)
-        self.date_code = np.array(date_col, dtype=np.int64)
-        self.ordinal = np.array(ordinals, dtype=np.int64)[self.date_code]
-        self.bad_date = self.ordinal == 0
-
-        self.label_texts = [lab.strip() for lab in labels]
-        self.label_code = np.array(label_col, dtype=np.int64)
-        states = np.array([_LABEL_CODE.get(t, -1) for t in self.label_texts], dtype=np.int64)
-        self.state = states[self.label_code]
-
-    def row(self, i: int) -> int:
-        """CSV row number (header = 1) of data record ``i``."""
-        return 2 + i + bisect.bisect_right(self.blanks, i)
-
-    def _width_error(self) -> DataFormatError:
-        row, width = self.bad_width
-        return DataFormatError(f"expected 3 fields, got {width}", row=row)
-
-    def _date_error(self, i: int) -> DataFormatError:
-        return DataFormatError(self.date_errors[int(self.date_code[i])], row=self.row(i))
-
-    def span(self) -> tuple[dt.date, dt.date]:
-        """Earliest and latest record date; only dates and widths are checked."""
-        if self.empty:
-            raise DataFormatError("cannot infer a span from an empty file")
-        if self.bad_date.any():
-            raise self._date_error(int(np.argmax(self.bad_date)))
-        if self.bad_width:
-            raise self._width_error()
-        if not self.ordinal.size:
-            raise DataFormatError("cannot infer a span from an empty panel")
-        return (
-            dt.date.fromordinal(int(self.ordinal.min())),
-            dt.date.fromordinal(int(self.ordinal.max())),
-        )
-
-    def panel(self, start: dt.date, end: dt.date) -> Panel:
-        """Validate every record against ``[start, end]`` and build the panel."""
-        # Per row, in row order; within a row: label, date, span.
-        bad_label = self.state < 0
-        lo, hi = start.toordinal(), end.toordinal()
-        outside = ~self.bad_date & ((self.ordinal < lo) | (self.ordinal > hi))
-        bad = bad_label | self.bad_date | outside
-        if bad.any():
-            i = int(np.argmax(bad))
-            if bad_label[i]:
-                label = self.label_texts[int(self.label_code[i])]
-                raise DataFormatError(f"unknown rating label {label!r}", row=self.row(i))
-            if self.bad_date[i]:
-                raise self._date_error(i)
-            day = dt.date.fromordinal(int(self.ordinal[i]))
-            raise DataFormatError(f"date {day} outside span [{start}, {end}]", row=self.row(i))
-        if self.bad_width:
-            raise self._width_error()
-
-        # Group by bank (in id order), then by day, then by row.
-        n_banks = len(self.bank_ids)
-        ids = sorted(range(n_banks), key=self.bank_ids.__getitem__)  # codes in id order
-        rank = np.empty(n_banks, dtype=np.int64)
-        rank[ids] = np.arange(n_banks)  # each code's place in that order
-        ids = [self.bank_ids[k] for k in ids]  # the ids in order; the codes' ints are freed
-        day = self.ordinal - lo
-        order = np.lexsort((day, rank[self.bank]))
-        bank, day, state = self.bank[order], day[order], self.state[order]
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = bank[1:] != bank[:-1]
-        changed = np.ones(order.size, dtype=bool)
-        changed[1:] = state[1:] != state[:-1]
-        conflict = ~first & changed
-        conflict[1:] &= day[1:] == day[:-1]
-        withdrawn = state == WITHDRAWN
-        wr_before = np.cumsum(withdrawn) - withdrawn  # WR rows strictly before, anywhere
-        wr_before -= wr_before[np.flatnonzero(first)][np.cumsum(first) - 1]
-        after_wr = wr_before > 0
-        orphan_wr = first & withdrawn
-
-        # Per bank, banks in order of first appearance: conflicts, then
-        # the first row after a withdrawal or opening with one.
-        bad = conflict | after_wr | orphan_wr
-        if bad.any():
-            k = int(bank[bad].min())
-            mine = bank == k
-            hits = conflict & mine
-            i = int(np.argmax(hits if hits.any() else bad & mine))
-            name = self.bank_ids[k]
-            row = self.row(int(order[i]))
-            if conflict[i]:
-                a, b = self.label_code[order[i - 1]], self.label_code[order[i]]
-                raise DataFormatError(
-                    f"bank {name!r}: conflicting labels {self.label_texts[a]!r} and "
-                    f"{self.label_texts[b]!r} on {dt.date.fromordinal(lo + int(day[i]))}",
-                    row=row,
-                )
-            if after_wr[i]:
-                raise DataFormatError(f"bank {name!r}: event after withdrawal", row=row)
-            raise DataFormatError(f"bank {name!r}: withdrawal without a prior rating", row=row)
-
-        # A valid bank opens with a rating and ends with at most one WR, so
-        # dropping rows that repeat the previous row's state collapses both
-        # re-affirmations and same-day duplicates.
-        keep = ~withdrawn & (first | changed)
-        ranked = rank[bank]
-        coverage_end = np.full(n_banks, hi - lo, dtype=np.int64)
-        coverage_end[ranked[withdrawn]] = day[withdrawn] - 1
-        counts = np.bincount(ranked[keep], minlength=n_banks)
-        return Panel(
-            ids,
-            np.concatenate([[0], np.cumsum(counts)]),
-            day[keep],
-            state[keep],
-            coverage_end,
-            (start, end),
-        )
-
-
 def parse_panel(source: Source, span: tuple[Optional[dt.date], Optional[dt.date]]) -> Panel:
     """Parse an event CSV into a validated, immutable panel.
 
     Per bank, rows are date-sorted, same-state repeats are collapsed,
-    and a ``WR`` row closes coverage on the previous day.  Hard errors
-    (naming the offending row): unknown labels, conflicting labels on
-    the same bank-day, events after withdrawal, dates outside the span.
-    An empty file is an empty panel, not an error.
+    and a ``WR`` row closes coverage on the previous day.  An end of
+    ``span`` given as ``None`` is the earliest or latest valid record
+    date, found in the same single read.  Errors, the first that applies:
 
-    An end of ``span`` given as ``None`` is inferred, in the same single
-    read, as the earliest or latest record date; that inference checks
-    only dates and field counts, and a file without data rows has no
-    span and raises.  A span ending before it starts raises
-    :class:`SpanError`; when both ends are given, that is checked before
-    the source is read.
+    1. the span ends before it starts (:class:`SpanError`; checked before
+       the source is read when both ends are given);
+    2. per row, in row order: an unknown label, a date that is not
+       ``YYYY-MM-DD``, a date outside the span;
+    3. a row without three fields;
+    4. per bank: conflicting labels on one day, an event after
+       withdrawal, a withdrawal without a prior rating;
+    5. no row to infer a missing end from.
+
+    Every :class:`DataFormatError` but the last names its row.  With
+    both ends given, an empty file is an empty panel.
     """
     start, end = span
     if start is not None and end is not None and end < start:
         raise SpanError(start, end)
-    columns = _EventColumns(source)
-    if start is None or end is None:
-        lo, hi = columns.span()
-        start = lo if start is None else start
-        end = hi if end is None else end
+
+    # One streaming read interns every field as an integer code.  It stops
+    # at the first row without three fields: that row's error wins over
+    # every later row's.
+    banks, dates, labels = {}, {}, {}
+    bank_col, date_col, label_col = [], [], []
+    blanks: list[int] = []  # data rows read before each blank line
+    bad_width: Optional[tuple[int, int]] = None  # (row, field count)
+    with text_stream(source) as stream:
+        reader = _records(stream)
+        header = next(reader, None)  # None: not even a header line
+        if header is not None and tuple(h.strip() for h in header) != HEADER:
+            raise DataFormatError(
+                f"expected header {','.join(HEADER)!r}, got {','.join(header)!r}", row=1
+            )
+        for record in reader:
+            if len(record) == 3:
+                b, d, lab = record
+                bank_col.append(banks.setdefault(b, len(banks)))
+                date_col.append(dates.setdefault(d, len(dates)))
+                label_col.append(labels.setdefault(lab, len(labels)))
+            elif record:
+                bad_width = (2 + len(bank_col) + len(blanks), len(record))
+                break
+            else:
+                blanks.append(len(bank_col))
+
+    def row(i) -> int:
+        """CSV row number (header = 1) of data record ``i``."""
+        return 2 + int(i) + bisect.bisect_right(blanks, i)
+
+    # Raw bank texts that strip to the same id share the id's code,
+    # numbered in order of first appearance.
+    ids: dict[str, int] = {}
+    canonical = np.array([ids.setdefault(b.strip(), len(ids)) for b in banks], dtype=np.int64)
+    bank_ids = list(ids)
+    bank = canonical[np.array(bank_col, dtype=np.int64)]
+    date_texts = [d.strip() for d in dates]
+    date_code = np.array(date_col, dtype=np.int64)
+    label_texts = [lab.strip() for lab in labels]
+    label_code = np.array(label_col, dtype=np.int64)
+    del banks, dates, labels, bank_col, date_col, label_col, ids  # not held through the sort
+
+    # Dates are parsed once per distinct text; 0 marks an invalid one
+    # (ordinals of real dates start at 1).
+    ordinals = []
+    for text in date_texts:
+        try:
+            ordinals.append(parse_iso_date(text).toordinal())
+        except ValueError:
+            ordinals.append(0)
+    ordinals = np.array(ordinals, dtype=np.int64)
+
+    # A missing end is the earliest or latest valid date.  Without a
+    # valid date every row fails below, or there is no row at all.
+    valid = ordinals[ordinals > 0]
+    if valid.size:
+        start = dt.date.fromordinal(int(valid.min())) if start is None else start
+        end = dt.date.fromordinal(int(valid.max())) if end is None else end
         if end < start:
             raise SpanError(start, end)
-    return columns.panel(start, end)
+    lo = 0 if start is None else start.toordinal()
+    hi = 0 if end is None else end.toordinal()
+
+    # Per row, in row order; within a row: label, date, span.
+    ordinal = ordinals[date_code]
+    bad_date = ordinal == 0
+    states = np.array([_LABEL_CODE.get(t, -1) for t in label_texts], dtype=np.int64)
+    state = states[label_code]
+    bad_label = state < 0
+    outside = ~bad_date & ((ordinal < lo) | (ordinal > hi))
+    bad = bad_label | bad_date | outside
+    if bad.any():
+        i = int(np.argmax(bad))
+        if bad_label[i]:
+            label = label_texts[label_code[i]]
+            raise DataFormatError(f"unknown rating label {label!r}", row=row(i))
+        if bad_date[i]:
+            try:
+                parse_iso_date(date_texts[date_code[i]])
+            except ValueError as exc:
+                raise DataFormatError(str(exc), row=row(i)) from None
+        day = dt.date.fromordinal(int(ordinal[i]))
+        raise DataFormatError(f"date {day} outside span [{start}, {end}]", row=row(i))
+    if bad_width:
+        raise DataFormatError(f"expected 3 fields, got {bad_width[1]}", row=bad_width[0])
+    if start is None or end is None:
+        raise DataFormatError(
+            f"cannot infer a span from an empty {'file' if header is None else 'panel'}"
+        )
+
+    # Group by bank (in id order), then by day, then by row.
+    n_banks = len(bank_ids)
+    ids = sorted(range(n_banks), key=bank_ids.__getitem__)  # codes in id order
+    rank = np.empty(n_banks, dtype=np.int64)
+    rank[ids] = np.arange(n_banks)  # each code's place in that order
+    ids = [bank_ids[k] for k in ids]  # the ids in order; the codes' ints are freed
+    day = ordinal - lo
+    order = np.lexsort((day, rank[bank]))
+    bank, day, state = bank[order], day[order], state[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = bank[1:] != bank[:-1]
+    changed = np.ones(order.size, dtype=bool)
+    changed[1:] = state[1:] != state[:-1]
+    conflict = ~first & changed
+    conflict[1:] &= day[1:] == day[:-1]
+    withdrawn = state == WITHDRAWN
+    wr_before = np.cumsum(withdrawn) - withdrawn  # WR rows strictly before, anywhere
+    wr_before -= wr_before[np.flatnonzero(first)][np.cumsum(first) - 1]
+    after_wr = wr_before > 0
+    orphan_wr = first & withdrawn
+
+    # Per bank, banks in order of first appearance: conflicts, then
+    # the first row after a withdrawal or opening with one.
+    bad = conflict | after_wr | orphan_wr
+    if bad.any():
+        k = int(bank[bad].min())
+        mine = bank == k
+        hits = conflict & mine
+        i = int(np.argmax(hits if hits.any() else bad & mine))
+        name = bank_ids[k]
+        at = row(order[i])
+        if conflict[i]:
+            a, b = label_code[order[i - 1]], label_code[order[i]]
+            raise DataFormatError(
+                f"bank {name!r}: conflicting labels {label_texts[a]!r} and "
+                f"{label_texts[b]!r} on {dt.date.fromordinal(lo + int(day[i]))}",
+                row=at,
+            )
+        if after_wr[i]:
+            raise DataFormatError(f"bank {name!r}: event after withdrawal", row=at)
+        raise DataFormatError(f"bank {name!r}: withdrawal without a prior rating", row=at)
+
+    # A valid bank opens with a rating and ends with at most one WR, so
+    # dropping rows that repeat the previous row's state collapses both
+    # re-affirmations and same-day duplicates.
+    keep = ~withdrawn & (first | changed)
+    ranked = rank[bank]
+    coverage_end = np.full(n_banks, hi - lo, dtype=np.int64)
+    coverage_end[ranked[withdrawn]] = day[withdrawn] - 1
+    counts = np.bincount(ranked[keep], minlength=n_banks)
+    return Panel(
+        ids,
+        np.concatenate([[0], np.cumsum(counts)]),
+        day[keep],
+        state[keep],
+        coverage_end,
+        (start, end),
+    )
 
 
 def write_panel_csv(panel: Panel, target: Union[str, Path, IO[str]]) -> None:

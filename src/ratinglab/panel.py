@@ -35,7 +35,7 @@ MONTHS_PER_PASS = 120
 
 
 def _frozen(values, dtype) -> np.ndarray:
-    a = np.array(values, dtype=dtype)
+    a = np.asarray(values, dtype=dtype)
     a.flags.writeable = False
     return a
 
@@ -46,7 +46,9 @@ class Panel:
     The span ``[start, end]`` is inclusive on both ends.  The arrays
     must already be valid and ``bank_ids`` sorted: :func:`parse_panel`
     validates outside data, :func:`simulate` builds valid panels, and
-    only the span is checked here.
+    only the span is checked here.  The panel takes its arrays over: an
+    array that already has the stored dtype is kept, not copied, and
+    made read-only, so the caller must not write to it afterwards.
     """
 
     def __init__(self, bank_ids, offsets, event_day, event_state, coverage_end, span):

@@ -299,32 +299,33 @@ class OracleSpanError(Exception):
 
 
 def _iso_date(text):
-    # ISO calendar dates only, extended or basic, in ASCII digits
+    # ISO calendar dates only, YYYY-MM-DD in ASCII digits
     try:
-        if not re.fullmatch(r"[0-9]{4}-?[0-9]{2}-?[0-9]{2}", text) or text.count("-") == 1:
+        if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
             raise ValueError
-        digits = text.replace("-", "")
-        return dt.date.fromisoformat(f"{digits[:4]}-{digits[4:6]}-{digits[6:]}")
+        return dt.date.fromisoformat(text)
     except ValueError:
         raise ValueError(f"invalid ISO date {text!r}") from None
 
 
-def _read_records(text, span):
-    """Validated (bank_id, date, label, row) per data row, in row order."""
+def _data_rows(text):
+    """(row number, fields) of each non-blank row after the header; None without a header."""
     reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        return []
+    header = next(reader, None)
+    if header is None:
+        return None
     if tuple(h.strip() for h in header) != HEADER:
         raise OracleFormatError(
             f"expected header {','.join(HEADER)!r}, got {','.join(header)!r}", row=1
         )
+    return [(lineno, row) for lineno, row in enumerate(reader, start=2) if row]
+
+
+def _read_records(text, span):
+    """Validated (bank_id, date, label, row) per data row, in row order."""
     start, end = span
     records = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    for lineno, row in _data_rows(text) or []:
         if len(row) != 3:
             raise OracleFormatError(f"expected 3 fields, got {len(row)}", row=lineno)
         bank_id, date_text, label = (f.strip() for f in row)
@@ -380,42 +381,33 @@ def parse_events(text, span):
     return sorted(out)
 
 
-def infer_span(text):
-    """Earliest and latest record date; checks only widths and dates."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise OracleFormatError("cannot infer a span from an empty file") from None
-    if tuple(h.strip() for h in header) != HEADER:
-        raise OracleFormatError(
-            f"expected header {','.join(HEADER)!r}, got {','.join(header)!r}", row=1
-        )
-    dates = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise OracleFormatError(f"expected 3 fields, got {len(row)}", row=lineno)
-        try:
-            dates.append(_iso_date(row[1].strip()))
-        except ValueError as exc:
-            raise OracleFormatError(str(exc), row=lineno) from None
-    if not dates:
-        raise OracleFormatError("cannot infer a span from an empty panel")
-    return min(dates), max(dates)
-
-
 def load_events(text, start=None, end=None):
-    """Span resolution then parsing, in the order the CLI has always used.
+    """Span resolution then parsing, in one check order whatever ends are given.
 
-    Missing ends are inferred (that read's errors come first), a
-    reversed span raises :class:`OracleSpanError`, then rows are parsed.
+    A missing end is the earliest or latest valid date among the rows a
+    row-by-row reader reaches, those before the first row without three
+    fields.  A reversed span raises :class:`OracleSpanError`, then rows
+    are parsed; a missing end with no valid date to take it from is an
+    error only once every row has passed.
     """
     if start is None or end is None:
-        lo, hi = infer_span(text)
-        start = lo if start is None else start
-        end = hi if end is None else end
-    if end < start:
+        rows = _data_rows(text)
+        empty = "file" if rows is None else "panel"
+        dates = []
+        for _, row in rows or []:
+            if len(row) != 3:
+                break
+            try:
+                dates.append(_iso_date(row[1].strip()))
+            except ValueError:
+                pass
+        if dates:
+            start = min(dates) if start is None else start
+            end = max(dates) if end is None else end
+    if start is not None and end is not None and end < start:
         raise OracleSpanError(start, end)
-    return parse_events(text, (start, end)), (start, end)
+    # An end still missing means no valid date, so no row reaches the span check.
+    events = parse_events(text, (start, end))
+    if start is None or end is None:
+        raise OracleFormatError(f"cannot infer a span from an empty {empty}")
+    return events, (start, end)

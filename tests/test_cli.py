@@ -560,21 +560,28 @@ def test_bad_date_flag_usage_error(tmp_path, capsys):
     assert "invalid ISO date" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["2007W011", "2007-W10-1"])
+@pytest.mark.parametrize("text", ["2007W011", "2007-W10-1", "20070101"])
 def test_week_date_flag_usage_error(tmp_path, capsys, text):
-    # fromisoformat reads week dates; --from takes calendar dates only
+    # fromisoformat reads week and basic dates; --from takes YYYY-MM-DD only
     panel_csv = write_panel(tmp_path)
     code = run("counts", "--input", str(panel_csv), "--output", str(tmp_path / "o"), "--from", text)
     assert code == 1
     assert f"invalid ISO date {text!r}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["2007W011", "2007-W10-1"])
+@pytest.mark.parametrize("text", ["2007W011", "2007-W10-1", "20070101"])
 def test_week_date_panel_row_data_error(tmp_path, capsys, text):
     panel_csv = tmp_path / "panel.csv"
     panel_csv.write_text(f"bank_id,date,rating\nb1,{text},B\n", encoding="utf-8")
     assert run("counts", "--input", str(panel_csv), "--output", str(tmp_path / "o")) == 2
     assert capsys.readouterr().err == f"ratinglab: error: row 2: invalid ISO date {text!r}\n"
+
+
+def test_basic_date_in_scenario_data_error(tmp_path, capsys):
+    scen_path = tmp_path / "scen.txt"
+    scen_path.write_text(STATIC_SCENARIO.replace("2007-01-01", "20070101"), encoding="utf-8")
+    assert run("simulate", "--scenario", str(scen_path), "--output", str(tmp_path / "x.csv")) == 2
+    assert "invalid ISO date '20070101'" in capsys.readouterr().err
 
 
 def test_reversed_span_usage_error(tmp_path, capsys):
@@ -585,6 +592,31 @@ def test_reversed_span_usage_error(tmp_path, capsys):
     )
     assert code == 1
     assert "before" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--from", "2009-01-01", "--to", "2008-01-01"], "--to 2008-01-01 is before --from 2009-01-01"),
+        # an inferred end is named as such, not as a flag the user did not give
+        (["--from", "2010-01-01"], "the latest record date 2007-02-01 is before --from 2010-01-01"),
+        (["--to", "2006-12-31"], "--to 2006-12-31 is before the earliest record date 2007-01-01"),
+    ],
+)
+def test_reversed_span_names_given_flags_only(tmp_path, capsys, flags, message):
+    panel_csv = tmp_path / "panel.csv"
+    panel_csv.write_text("bank_id,date,rating\nb1,2007-01-01,B\nb1,2007-02-01,C\n", encoding="utf-8")
+    code = run("counts", "--input", str(panel_csv), "--output", str(tmp_path / "o"), *flags)
+    assert code == 1
+    assert capsys.readouterr().err == f"ratinglab: error: {message}\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--from", "2007-01-01", "--to", "2007-12-31"]])
+def test_first_bad_row_wins_with_or_without_span_flags(tmp_path, capsys, flags):
+    panel_csv = tmp_path / "panel.csv"
+    panel_csv.write_text("bank_id,date,rating\nb1,2007-01-01,ZZ\nb1,2007-13-01,B\n", encoding="utf-8")
+    assert run("counts", "--input", str(panel_csv), "--output", str(tmp_path / "o"), *flags) == 2
+    assert capsys.readouterr().err == "ratinglab: error: row 2: unknown rating label 'ZZ'\n"
 
 
 def test_repeat_runs_byte_identical(tmp_path):

@@ -1,11 +1,13 @@
 """Every command reproduces committed outputs byte for byte.
 
 ``data/golden_panel.csv`` is a fixed 60-bank panel with shuffled rows,
-exact duplicates, re-affirmations, ``WR`` withdrawals, compact ISO
-dates, padded fields and blank lines.  The analysis outputs under
-``data/golden/`` were written by the row-by-row reader that preceded
-the columnar one, so any change to parsing, collapsing or the
-statistics shows up here.
+exact duplicates, re-affirmations, ``WR`` withdrawals, padded fields
+and blank lines.  The analysis outputs under ``data/golden/`` were
+written by the row-by-row reader that preceded the columnar one, so any
+change to parsing, collapsing or the statistics shows up here.  Rows
+that spelled their date in the ISO basic form (``20070101``), which is
+no longer a date, now spell the same day ``YYYY-MM-DD``; the parsed
+panels, and so the outputs, did not change.
 
 The ``*_mid_month``, ``*_short_span`` and ``moments_tau30`` files were
 written by the code that still built every rolling window from its own

@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import gc
 import io
@@ -363,7 +364,8 @@ BANKS = ("b1", "b2", "b3")
 
 
 def date_texts(day):
-    """Spellings of one day that ISO parsing accepts."""
+    """Spellings of one day: ``YYYY-MM-DD``, bare or padded, and the ISO
+    basic and week forms, which are not dates."""
     y, w, d = day.isocalendar()
     return st.sampled_from(
         [day.isoformat()] * 3 + [day.strftime("%Y%m%d"), f"{y}-W{w:02d}-{d}", f" {day} "]
@@ -447,9 +449,9 @@ H = "bank_id,date,rating\n"
         # within a bank, a conflict wins over an earlier withdrawal error
         (H + "b1,2007-01-01,WR\nb1,2007-03-01,B\nb1,2007-03-01,C\n", SPAN,
          "row 4: bank 'b1': conflicting labels 'B' and 'C' on 2007-03-01"),
-        # an inferred span reads dates and widths first, whatever the labels
-        (H + "b1,2007-01-01,Z+\nb1,NaT,B\n", (None, None), "row 3: invalid ISO date 'NaT'"),
-        (H + "b1,2007-01-01,Z+\n\nb1,2007\n", (None, D(2008, 1, 1)), "row 4: expected 3 fields, got 2"),
+        # an inferred span checks rows in the same order as a given one
+        (H + "b1,2007-01-01,Z+\nb1,NaT,B\n", (None, None), "row 2: unknown rating label 'Z+'"),
+        (H + "b1,2007-01-01,Z+\n\nb1,2007\n", (None, D(2008, 1, 1)), "row 2: unknown rating label 'Z+'"),
     ],
 )
 def test_error_precedence(text, ends, message):
@@ -486,20 +488,35 @@ def test_parse_panel_matches_row_by_row_oracle(text, ends):
 @settings(max_examples=200)
 @given(event_csv())
 def test_infer_span_matches_row_by_row_oracle(text):
-    # A span inferred without error is the panel's span, unless a later
-    # check rejects a row; then the oracle rejects the text over that span.
     try:
-        want = oracles.infer_span(text)
+        _, want = oracles.load_events(text)
     except oracles.OracleFormatError as exc:
         with pytest.raises(DataFormatError) as got:
             infer_span(io.StringIO(text))
         assert str(got.value) == str(exc)
         return
+    assert infer_span(io.StringIO(text)) == want
+
+
+def _outcome(text, span):
     try:
-        got = infer_span(io.StringIO(text))
+        return rl.parse_panel(io.StringIO(text), span)
     except DataFormatError as exc:
-        with pytest.raises(oracles.OracleFormatError) as oracle_exc:
-            oracles.parse_events(text, want)
-        assert str(oracle_exc.value) == str(exc)
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(event_csv())
+def test_inferred_span_checks_like_the_given_span(text):
+    # Inferring both ends changes no outcome: the same error, or the same
+    # panel, as giving the earliest and latest valid date.
+    days = []
+    for row in csv.reader(io.StringIO(text, newline="")):
+        if len(row) == 3:
+            try:
+                days.append(oracles._iso_date(row[1].strip()))
+            except ValueError:
+                pass
+    if not days:
         return
-    assert got == want
+    assert _outcome(text, (None, None)) == _outcome(text, (min(days), max(days)))

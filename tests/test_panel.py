@@ -209,6 +209,17 @@ def test_panel_rejects_reversed_span():
         rl.Panel([], [0], [], [], [], (D(2008, 1, 1), D(2007, 1, 1)))
 
 
+def test_panel_takes_its_arrays_over():
+    # an array of the stored dtype is kept, not copied, and frozen
+    day = np.array([0, 5], dtype=np.int32)
+    panel = rl.Panel(["b1"], [0, 2], day, [3, 4], [9], THREE_SPAN)
+    assert np.shares_memory(panel.event_day, day)
+    assert not day.flags.writeable and not panel.event_day.flags.writeable
+    # lists are converted
+    assert panel.offsets.dtype == np.int64 and panel.event_state.dtype == np.int16
+    assert panel.event_state.tolist() == [3, 4] and panel.coverage_end.tolist() == [9]
+
+
 def test_panel_lookup_and_sizes():
     p = make_panel(THREE_SPAN, THREE_BANKS)
     assert p.n_banks == 3
