@@ -14,13 +14,12 @@ from __future__ import annotations
 import datetime as dt
 import operator
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .panel import Panel
-from .textio import format_float, write_csv
+from .textio import Target, format_float, write_csv
 
 __all__ = [
     "MomentSet",
@@ -128,9 +127,7 @@ def _cells(ms: Optional[MomentSet]) -> list[str]:
     return [format_float(v) for v in values]
 
 
-def write_moment_series_csv(
-    series: Sequence[MomentPoint], target: Union[str, Path, IO[str]]
-) -> None:
+def write_moment_series_csv(series: Sequence[MomentPoint], target: Target) -> None:
     """Eight-column moment series; undefined moments are empty cells."""
     write_csv(
         target,

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Union
 
 import numpy as np
 
@@ -42,7 +40,7 @@ from .estimation import (
 )
 from .panel import Panel
 from .scale import N_STATES
-from .textio import format_float, write_csv
+from .textio import Target, format_float, write_csv
 
 __all__ = [
     "TestSeries",
@@ -179,7 +177,7 @@ def _windows(panel: Panel, statistic: str, grid: np.ndarray, lag: int):
     return origin + a, origin + b, values, counts.total
 
 
-def write_test_series_csv(series: TestSeries, target: Union[str, Path, IO[str]]) -> None:
+def write_test_series_csv(series: TestSeries, target: Target) -> None:
     """CSV: ``window_start,window_end,statistic,value,abs_value,n_transitions``."""
     header = ["window_start", "window_end", "statistic", "value", "abs_value", "n_transitions"]
     rows = (

@@ -7,8 +7,9 @@ appear in any order.  Re-affirmations (consecutive rows repeating a
 bank's current state) are collapsed so that "transition" always means a
 state change.
 
-A source is read once: a streaming ``csv.reader`` pass interns every
-field as an integer code, dates are parsed once per distinct text, a
+A source, a path or a text stream, is read once: one ``csv.reader``
+loop interns every field as an integer code, numbered per column in
+order of first appearance.  Dates are parsed once per distinct text, a
 missing end of the span is taken from those distinct dates, and the
 checks and the collapse into the panel's arrays are vectorised.  Each
 check names the row a row-by-row reader would.
@@ -22,8 +23,9 @@ from __future__ import annotations
 import bisect
 import csv
 import datetime as dt
-from pathlib import Path
-from typing import IO, Iterator, Optional, Union
+import itertools
+from collections import defaultdict
+from typing import Optional
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .dates import parse_iso_date
 from .errors import DataFormatError, SpanError
 from .panel import Panel
 from .scale import N_STATES, RATING_LABELS, WITHDRAWN_LABEL
-from .textio import Target as Source, format_float, text_stream, write_csv
+from .textio import Target, format_float, text_stream, write_csv
 
 __all__ = [
     "parse_panel",
@@ -51,22 +53,8 @@ _LABEL_CODE = {label: state for state, label in enumerate(RATING_LABELS)}
 _LABEL_CODE[WITHDRAWN_LABEL] = WITHDRAWN = N_STATES
 
 
-def _records(stream) -> Iterator[list[str]]:
-    """The CSV records of ``stream``, header included.
-
-    A record the csv module rejects, such as one with a field over its
-    size limit, raises :class:`DataFormatError` naming its row.
-    """
-    row = 0
-    try:
-        for row, record in enumerate(csv.reader(stream), 1):
-            yield record
-    except csv.Error as exc:
-        raise DataFormatError(str(exc), row=row + 1) from None
-
-
-def parse_panel(source: Source, span: tuple[Optional[dt.date], Optional[dt.date]]) -> Panel:
-    """Parse an event CSV into a validated, immutable panel.
+def parse_panel(source: Target, span: tuple[Optional[dt.date], Optional[dt.date]]) -> Panel:
+    """Parse an event CSV, a path or a text stream, into a validated, immutable panel.
 
     Per bank, rows are date-sorted, same-state repeats are collapsed,
     and a ``WR`` row closes coverage on the previous day.  An end of
@@ -75,12 +63,14 @@ def parse_panel(source: Source, span: tuple[Optional[dt.date], Optional[dt.date]
 
     1. the span ends before it starts (:class:`SpanError`; checked before
        the source is read when both ends are given);
-    2. per row, in row order: an unknown label, a date that is not
+    2. a record the csv module rejects, such as one with a field over its
+       size limit, or a source that is not a text stream;
+    3. per row, in row order: an unknown label, a date that is not
        ``YYYY-MM-DD``, a date outside the span;
-    3. a row without three fields;
-    4. per bank: conflicting labels on one day, an event after
+    4. a row without three fields;
+    5. per bank: conflicting labels on one day, an event after
        withdrawal, a withdrawal without a prior rating;
-    5. no row to infer a missing end from.
+    6. no row to infer a missing end from.
 
     Every :class:`DataFormatError` but the last names its row.  With
     both ends given, an empty file is an empty panel.
@@ -89,31 +79,39 @@ def parse_panel(source: Source, span: tuple[Optional[dt.date], Optional[dt.date]
     if start is not None and end is not None and end < start:
         raise SpanError(start, end)
 
-    # One streaming read interns every field as an integer code.  It stops
+    # One csv.reader loop interns every field as an integer code, each
+    # column numbering its texts in order of first appearance.  It stops
     # at the first row without three fields: that row's error wins over
     # every later row's.
-    banks, dates, labels = {}, {}, {}
+    banks, dates, labels = (defaultdict(itertools.count().__next__) for _ in range(3))
     bank_col, date_col, label_col = [], [], []
     blanks: list[int] = []  # data rows read before each blank line
     bad_width: Optional[tuple[int, int]] = None  # (row, field count)
+    header = None
     with text_stream(source) as stream:
-        reader = _records(stream)
-        header = next(reader, None)  # None: not even a header line
-        if header is not None and tuple(h.strip() for h in header) != HEADER:
-            raise DataFormatError(
-                f"expected header {','.join(HEADER)!r}, got {','.join(header)!r}", row=1
-            )
-        for record in reader:
-            if len(record) == 3:
-                b, d, lab = record
-                bank_col.append(banks.setdefault(b, len(banks)))
-                date_col.append(dates.setdefault(d, len(dates)))
-                label_col.append(labels.setdefault(lab, len(labels)))
-            elif record:
-                bad_width = (2 + len(bank_col) + len(blanks), len(record))
-                break
-            else:
-                blanks.append(len(bank_col))
+        reader = csv.reader(stream)
+        try:
+            header = next(reader, None)  # None: not even a header line
+            if header is not None and tuple(h.strip() for h in header) != HEADER:
+                raise DataFormatError(
+                    f"expected header {','.join(HEADER)!r}, got {','.join(header)!r}", row=1
+                )
+            for record in reader:
+                if len(record) == 3:
+                    b, d, lab = record
+                    bank_col.append(banks[b])
+                    date_col.append(dates[d])
+                    label_col.append(labels[lab])
+                elif record:
+                    bad_width = (2 + len(bank_col) + len(blanks), len(record))
+                    break
+                else:
+                    blanks.append(len(bank_col))
+        except csv.Error as exc:
+            # a record the csv module rejects, such as one with a field
+            # over its size limit; the header is row 1
+            at = 1 if header is None else 2 + len(bank_col) + len(blanks)
+            raise DataFormatError(str(exc), row=at) from None
 
     def row(i) -> int:
         """CSV row number (header = 1) of data record ``i``."""
@@ -195,9 +193,10 @@ def parse_panel(source: Source, span: tuple[Optional[dt.date], Optional[dt.date]
     conflict = ~first & changed
     conflict[1:] &= day[1:] == day[:-1]
     withdrawn = state == WITHDRAWN
-    wr_before = np.cumsum(withdrawn) - withdrawn  # WR rows strictly before, anywhere
-    wr_before -= wr_before[np.flatnonzero(first)][np.cumsum(first) - 1]
-    after_wr = wr_before > 0
+    # A row right after a WR row of its own bank follows a withdrawal;
+    # the first such row of a bank is its first row after one.
+    after_wr = np.zeros(order.size, dtype=bool)
+    after_wr[1:] = withdrawn[:-1] & ~first[1:]
     orphan_wr = first & withdrawn
 
     # Per bank, banks in order of first appearance: conflicts, then
@@ -239,7 +238,7 @@ def parse_panel(source: Source, span: tuple[Optional[dt.date], Optional[dt.date]
     )
 
 
-def write_panel_csv(panel: Panel, target: Union[str, Path, IO[str]]) -> None:
+def write_panel_csv(panel: Panel, target: Target) -> None:
     """Serialize a panel back to the event-CSV format (round-trip safe)."""
     withdrawn = np.flatnonzero(panel.coverage_end < panel.n_days - 1)
     at = panel.offsets[withdrawn + 1]  # a WR row follows the bank's last event
@@ -295,9 +294,7 @@ def transitions_per_bank(panel: Panel) -> tuple[np.ndarray, np.ndarray]:
     return np.datetime64(panel.span[0], "D") + rated, ratio
 
 
-def write_count_series_csv(
-    series: tuple[np.ndarray, np.ndarray], target: Union[str, Path, IO[str]]
-) -> None:
+def write_count_series_csv(series: tuple[np.ndarray, np.ndarray], target: Target) -> None:
     """Write a ``(dates, values)`` series as ``date,value`` rows, formatting one row at a time."""
     days, values = series
     write_csv(target, ["date", "value"], ((str(d), format_float(v)) for d, v in zip(days, values)))

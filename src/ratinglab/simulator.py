@@ -137,8 +137,9 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.n_banks < 0:
-            raise ValueError("n_banks must be nonnegative")
+        # a bank's index is one SeedSequence word of its random stream
+        if not 0 <= self.n_banks < 2**32:
+            raise ValueError(f"n_banks must be nonnegative and below 2**32, got {self.n_banks}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         start, end = self.span
@@ -291,26 +292,20 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
 def _streams(seed: int, banks: np.ndarray) -> np.ndarray:
     """The ``default_rng((seed, k))`` PCG64 state of every bank ``k``
     in ``banks``, as uint64 rows (state high, state low, increment
-    high, increment low)."""
-    low = (banks & _U64(_MASK32)).astype(np.uint32)
-    high = (banks >> _U64(32)).astype(np.uint32)
+    high, increment low).  Each ``k`` is below 2**32, so SeedSequence
+    reads it as one word."""
     seed_words = [np.full(banks.size, w, dtype=np.uint32) for w in _uint32_words(seed)]
-    out = np.empty((4, banks.size), dtype=np.uint64)
-    # SeedSequence reads k as one word below 2**32 and two from there on
-    for lanes, k_words in ((high == 0, [low]), (high != 0, [low, high])):
-        if lanes.any():
-            words = _seed_sequence_state([w[lanes] for w in seed_words + k_words])
-            words = [w.astype(np.uint64) for w in words]
-            initstate_hi, initstate_lo, initseq_hi, initseq_lo = (
-                words[2 * i] | (words[2 * i + 1] << _U64(32)) for i in range(4)
-            )
-            inc_hi = (initseq_hi << _U64(1)) | (initseq_lo >> _U64(63))
-            inc_lo = (initseq_lo << _U64(1)) | _U64(1)
-            # PCG64 srandom: state = 0; step (state = inc); state += initstate; step
-            lo = inc_lo + initstate_lo
-            hi = inc_hi + initstate_hi + (lo < initstate_lo)
-            out[:, lanes] = (*_pcg_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
-    return out
+    words = _seed_sequence_state(seed_words + [banks.astype(np.uint32)])
+    words = [w.astype(np.uint64) for w in words]
+    initstate_hi, initstate_lo, initseq_hi, initseq_lo = (
+        words[2 * i] | (words[2 * i + 1] << _U64(32)) for i in range(4)
+    )
+    inc_hi = (initseq_hi << _U64(1)) | (initseq_lo >> _U64(63))
+    inc_lo = (initseq_lo << _U64(1)) | _U64(1)
+    # PCG64 srandom: state = 0; step (state = inc); state += initstate; step
+    lo = inc_lo + initstate_lo
+    hi = inc_hi + initstate_hi + (lo < initstate_lo)
+    return np.array([*_pcg_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo])
 
 
 def _random(streams: np.ndarray, lanes) -> np.ndarray:
@@ -431,14 +426,14 @@ def simulate(scenario: Scenario) -> Panel:
 # -- scenario configuration files ------------------------------------
 
 _REQUIRED_KEYS = {"kind", "n_banks", "start", "end", "seed", "rate_scale"}
-_OPTIONAL_KEYS = {
-    "generator_seed",
-    "switch_date",
-    "switch_multiplier",
-    "gamma",
-    "memory_days",
-    "initial",
+#: Optional keys that one kind reads, and that kind; any other kind rejects them.
+_KIND_KEYS = {
+    "switch_date": "regime_switch",
+    "switch_multiplier": "regime_switch",
+    "gamma": "excited",
+    "memory_days": "excited",
 }
+_OPTIONAL_KEYS = {"generator_seed", "initial", *_KIND_KEYS}
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:
@@ -477,10 +472,11 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
     Keys: ``kind``, ``n_banks``, ``start``, ``end``, ``seed``,
     ``rate_scale`` (required; 0 gives the zero generator, a static
     panel); ``generator_seed`` (default: ``seed``),
-    ``switch_date`` (regime_switch; default mid-span),
-    ``switch_multiplier`` (default 3), ``gamma`` / ``memory_days``
-    (excited; defaults 5 / 90), ``initial`` (``uniform``, ``state:K``
-    or 15 comma-separated probabilities; default uniform).
+    ``switch_date`` (regime_switch only; default mid-span),
+    ``switch_multiplier`` (regime_switch only; default 3), ``gamma`` /
+    ``memory_days`` (excited only; defaults 5 / 90), ``initial``
+    (``uniform``, ``state:K`` or 15 comma-separated probabilities;
+    default uniform).  A key for another kind is an error.
     """
     unknown = set(mapping) - _REQUIRED_KEYS - _OPTIONAL_KEYS
     if unknown:
@@ -490,6 +486,9 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
         raise DataFormatError(f"missing scenario keys: {sorted(missing)}")
     try:
         kind = mapping["kind"]
+        for key in mapping:
+            if _KIND_KEYS.get(key, kind) != kind:
+                raise ValueError(f"{key} applies only to {_KIND_KEYS[key]} scenarios, not {kind!r}")
         n_banks = int(mapping["n_banks"])
         start = parse_iso_date(mapping["start"])
         end = parse_iso_date(mapping["end"])

@@ -416,6 +416,42 @@ def test_simulate_bad_scenario_is_data_error(tmp_path, capsys):
     assert "missing scenario keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, value, message",
+    [
+        ("homogeneous", "gamma = 5", "gamma applies only to excited scenarios, not 'homogeneous'"),
+        (
+            "regime_switch", "memory_days = 10",
+            "memory_days applies only to excited scenarios, not 'regime_switch'",
+        ),
+        (
+            "excited", "switch_date = 2007-06-01",
+            "switch_date applies only to regime_switch scenarios, not 'excited'",
+        ),
+        (
+            "homogeneous", "switch_multiplier = 9",
+            "switch_multiplier applies only to regime_switch scenarios, not 'homogeneous'",
+        ),
+        # a bank's index must fit one SeedSequence word
+        (
+            "homogeneous", "n_banks = 4294967296",
+            "n_banks must be nonnegative and below 2**32, got 4294967296",
+        ),
+    ],
+    ids=["gamma", "memory_days", "switch_date", "switch_multiplier", "n_banks-2**32"],
+)
+def test_simulate_scenario_key_out_of_place_is_data_error(tmp_path, capsys, kind, value, message):
+    text = f"kind = {kind}\nstart = 2007-01-01\nend = 2008-01-01\nseed = 1\nrate_scale = 0.5\n"
+    if not value.startswith("n_banks"):
+        text += "n_banks = 3\n"
+    scen_path = tmp_path / "scen.txt"
+    scen_path.write_text(text + value + "\n", encoding="utf-8")
+    out = tmp_path / "x.csv"
+    assert run("simulate", "--scenario", str(scen_path), "--output", str(out)) == 2
+    assert capsys.readouterr().err == f"ratinglab: error: invalid scenario: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 @pytest.mark.parametrize(
     "kind, value",

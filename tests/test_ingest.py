@@ -1,6 +1,5 @@
 import csv
 import datetime as dt
-import gc
 import io
 import random
 
@@ -331,11 +330,10 @@ def test_parse_from_path(tmp_path):
     assert infer_span(path) == (D(2007, 1, 1), D(2007, 1, 1))
 
 
-def test_parse_from_byte_stream():
-    text = "bank_id,date,rating\nb1,2007-01-01,A+\nb1,2008-01-01,A\n"
-    stream = io.BytesIO(text.encode("utf-8"))
-    assert rl.parse_panel(stream, SPAN) == parse(text)
-    gc.collect()
+def test_parse_rejects_byte_stream():
+    stream = io.BytesIO(b"bank_id,date,rating\nb1,2007-01-01,A+\n")
+    with pytest.raises(DataFormatError, match=r"^row 1: .*opened in text mode"):
+        rl.parse_panel(stream, SPAN)
     assert not stream.closed  # the caller's stream is left open
 
 
@@ -458,6 +456,24 @@ def test_error_precedence(text, ends, message):
     with pytest.raises(DataFormatError) as got:
         rl.parse_panel(io.StringIO(text), ends)
     assert str(got.value) == message
+
+
+BIG = "A" * 200_000  # over the csv module's field size limit of 131,072
+
+
+@pytest.mark.parametrize(
+    "text, row",
+    [
+        (f"bank_id,date,{BIG}\n", 1),
+        (H + f"b1,2007-01-01,{BIG}\n", 2),
+        # rows count records, blank lines included
+        (H + f"b1,2007-01-01,B\n\n\nb1,2008-01-01,{BIG}\n", 5),
+    ],
+    ids=["header", "row-2", "after-two-blank-lines"],
+)
+def test_csv_error_names_its_row(text, row):
+    with pytest.raises(DataFormatError, match=f"^row {row}: field larger than field limit"):
+        parse(text)
 
 
 @settings(max_examples=400)
