@@ -4,14 +4,16 @@ Moments are population-normalized (no sample-bias correction) and the
 kurtosis is non-excess, so a Gaussian sample sits at 3.  Skewness and
 kurtosis are undefined when the variance is degenerate.
 
-A rolling moment series walks the month grid of :meth:`Panel.month_passes`
-and reads each sample's lag as a day offset, so a lag before the span
-start, even one before the year 1, is simply unrated.
+One formula takes every moment from the counts of a sample's distinct
+values, for one sample or a stack.  A rolling series counts, on each
+month start of :meth:`Panel.month_passes`, the ratings over 15 levels
+and the increments over 29; a lag before the span start (even before
+the year 1) is unrated.
 """
 
 from __future__ import annotations
 
-import datetime as dt
+import math
 import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -19,11 +21,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .panel import Panel
+from .scale import N_STATES
 from .textio import Target, format_float, write_csv
 
 __all__ = [
     "MomentSet",
-    "MomentPoint",
+    "MomentSeries",
     "moments",
     "moment_series",
     "write_moment_series_csv",
@@ -44,61 +47,55 @@ class MomentSet:
 
 
 @dataclass(frozen=True)
-class MomentPoint:
-    """One date of the rolling moment series.
+class MomentSeries:
+    """Moments on each month start (``date``, ``datetime64[D]``), one array row a month.
 
-    ``ratings`` covers the rating cross-section R(t); ``increments``
-    covers the trailing changes T(t, tau) and is ``None`` on days where
-    no bank has both endpoints rated.
+    ``ratings`` covers the rating cross-section R(t) and ``increments``
+    the trailing changes T(t, tau).  Each is a (months, 4) float64 array
+    of mean, variance, skewness and kurtosis, NaN where undefined.
     """
 
-    date: dt.date
-    ratings: Optional[MomentSet]
-    increments: Optional[MomentSet]
+    date: np.ndarray
+    ratings: np.ndarray
+    increments: np.ndarray
+
+
+def _moments(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean, variance, skewness and kurtosis, shape (..., 4), of counts (..., L) of ``values``.
+
+    Powers are products (and one square root), which round alike on every
+    platform and array length, and sums are exact, so neither the order
+    of the values nor a zero count changes a bit.  NaN marks an undefined moment.
+    """
+    n = counts.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m1 = _exact_sum(counts * values) / n
+        c = values - m1[..., None]
+        c2 = c * c
+        m2, m3, m4 = (_exact_sum(counts * power) / n for power in (c2, c2 * c, c2 * c2))
+        out = np.stack([m1, m2, m3 / (m2 * np.sqrt(m2)), m4 / (m2 * m2)], axis=-1)
+    out[m2 < DEGENERATE_VARIANCE, 2:] = np.nan
+    return out
+
+
+def _exact_sum(terms: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, each exact and then rounded once (:func:`math.fsum`)."""
+    rows = terms.reshape(-1, terms.shape[-1]).tolist()
+    return np.array([math.fsum(row) for row in rows]).reshape(terms.shape[:-1])
 
 
 def moments(sample: Sequence[float]) -> MomentSet:
-    """Population mean, variance, skewness and (non-excess) kurtosis.
-
-    The powers of the deviations are taken once per distinct value and
-    gathered back, so every element gets the same float as an
-    element-wise evaluation, and each mean sums the same array.
-    """
+    """Population mean, variance, skewness and (non-excess) kurtosis of a finite sample."""
     raw = np.asarray(sample)
     if raw.size == 0:
         raise ValueError("moments of an empty sample are undefined")
-    m1 = float(np.mean(np.asarray(raw, dtype=np.float64)))
-    values, index = _distinct(raw)
-    c = values.astype(np.float64) - m1
-    m2 = float(np.mean((c * c)[index]))
-    if m2 < DEGENERATE_VARIANCE:
-        return MomentSet(mean=m1, variance=m2, skewness=None, kurtosis=None)
-    m3 = float(np.mean((c**3)[index]))
-    m4 = float(np.mean((c**4)[index]))
-    return MomentSet(
-        mean=m1,
-        variance=m2,
-        skewness=m3 / m2**1.5,
-        kurtosis=m4 / m2**2,
-    )
+    if not np.isfinite(raw).all():
+        raise ValueError("moments need a sample of finite values")
+    m = _moments(*np.unique(raw, return_counts=True))
+    return MomentSet(*np.where(np.isnan(m), None, m).tolist())
 
 
-def _distinct(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values covering a sample and each element's index into them.
-
-    A signed-integer sample spanning fewer levels than it has elements,
-    such as ratings or their increments, indexes the levels from its
-    minimum to its maximum without sorting; any other sample is sorted
-    by :func:`numpy.unique`.
-    """
-    if raw.dtype.kind == "i":
-        lo, hi = int(raw.min()), int(raw.max())
-        if hi - lo < raw.size:
-            return np.arange(lo, hi + 1), raw.astype(np.intp) - lo
-    return np.unique(raw, return_inverse=True)
-
-
-def moment_series(panel: Panel, tau: int = 365) -> list[MomentPoint]:
+def moment_series(panel: Panel, tau: int = 365) -> MomentSeries:
     """Rolling moments of the rating and increment cross-sections.
 
     Sampled on the first day of each month; the increments run from
@@ -107,30 +104,30 @@ def moment_series(panel: Panel, tau: int = 365) -> list[MomentPoint]:
     tau = operator.index(tau)  # a float would shift every lag
     if tau < 1:
         raise ValueError(f"tau must be >= 1 day, got {tau}")
-    out = []
-    for dates, days in panel.month_passes():
+    dates, rating_counts, increment_counts = [], [], []
+    for month_dates, days in panel.month_passes():
         # Every lag before the span start reads as unrated, so -1 stands for them all.
         block, (now_at, then_at) = panel.cross_sections(days, [max(d - tau, -1) for d in days])
-        for day, i, j in zip(dates, now_at, then_at):
-            now, then = block[i], block[j]
-            ratings = now[now >= 0]
-            r_moments = moments(ratings) if ratings.size else None
+        for i, j in zip(now_at, then_at):
+            now, then = block[i], block[j]  # row by row: block[now_at] would copy the block
+            rating_counts.append(np.bincount(now[now >= 0], minlength=N_STATES))
             both = (now >= 0) & (then >= 0)  # increments need both ends rated
-            increments = now[both] - then[both]
-            t_moments = moments(increments) if increments.size else None
-            out.append(MomentPoint(date=day, ratings=r_moments, increments=t_moments))
-    return out
+            increment = (now - then + (N_STATES - 1))[both]  # -14..14 as 0..28
+            increment_counts.append(np.bincount(increment, minlength=2 * N_STATES - 1))
+        dates += month_dates
+    return MomentSeries(
+        np.array(dates, dtype="datetime64[D]"),
+        _moments(np.arange(N_STATES), np.reshape(rating_counts, (-1, N_STATES))),
+        _moments(np.arange(1 - N_STATES, N_STATES), np.reshape(increment_counts, (-1, 2 * N_STATES - 1))),
+    )
 
 
-def _cells(ms: Optional[MomentSet]) -> list[str]:
-    values = (None,) * 4 if ms is None else (ms.mean, ms.variance, ms.skewness, ms.kurtosis)
-    return [format_float(v) for v in values]
-
-
-def write_moment_series_csv(series: Sequence[MomentPoint], target: Target) -> None:
+def write_moment_series_csv(series: MomentSeries, target: Target) -> None:
     """Eight-column moment series; undefined moments are empty cells."""
+    table = np.hstack([series.ratings, series.increments])
+    cells = np.where(np.isnan(table), None, table).tolist()
     write_csv(
         target,
         ["date", "mean_R", "var_R", "skew_R", "kurt_R", "mean_T", "var_T", "skew_T", "kurt_T"],
-        ([p.date.isoformat()] + _cells(p.ratings) + _cells(p.increments) for p in series),
+        ([day] + [format_float(v) for v in row] for day, row in zip(series.date.astype(str), cells)),
     )

@@ -63,14 +63,14 @@ def parse_panel(source: Target, span: tuple[Optional[dt.date], Optional[dt.date]
 
     1. the span ends before it starts (:class:`SpanError`; checked before
        the source is read when both ends are given);
-    2. a record the csv module rejects, such as one with a field over its
-       size limit, or a source that is not a text stream;
-    3. per row, in row order: an unknown label, a date that is not
+    2. per row, in row order: an unknown label, a date that is not
        ``YYYY-MM-DD``, a date outside the span;
-    4. a row without three fields;
-    5. per bank: conflicting labels on one day, an event after
+    3. the row that stops the read: one without three fields, or a
+       record the csv module rejects, such as one with a field over its
+       size limit (a source that is not a text stream stops on row 1);
+    4. per bank: conflicting labels on one day, an event after
        withdrawal, a withdrawal without a prior rating;
-    6. no row to infer a missing end from.
+    5. no row to infer a missing end from.
 
     Every :class:`DataFormatError` but the last names its row.  With
     both ends given, an empty file is an empty panel.
@@ -81,12 +81,13 @@ def parse_panel(source: Target, span: tuple[Optional[dt.date], Optional[dt.date]
 
     # One csv.reader loop interns every field as an integer code, each
     # column numbering its texts in order of first appearance.  It stops
-    # at the first row without three fields: that row's error wins over
-    # every later row's.
+    # at the first row without three fields or that the csv module
+    # rejects: that row's error comes after the earlier rows' checks and
+    # wins over every later row's.
     banks, dates, labels = (defaultdict(itertools.count().__next__) for _ in range(3))
     bank_col, date_col, label_col = [], [], []
     blanks: list[int] = []  # data rows read before each blank line
-    bad_width: Optional[tuple[int, int]] = None  # (row, field count)
+    stop: Optional[tuple[int, str]] = None  # (row, message) of the row that stops the read
     header = None
     with text_stream(source) as stream:
         reader = csv.reader(stream)
@@ -103,15 +104,12 @@ def parse_panel(source: Target, span: tuple[Optional[dt.date], Optional[dt.date]
                     date_col.append(dates[d])
                     label_col.append(labels[lab])
                 elif record:
-                    bad_width = (2 + len(bank_col) + len(blanks), len(record))
+                    stop = (2 + len(bank_col) + len(blanks), f"expected 3 fields, got {len(record)}")
                     break
                 else:
                     blanks.append(len(bank_col))
-        except csv.Error as exc:
-            # a record the csv module rejects, such as one with a field
-            # over its size limit; the header is row 1
-            at = 1 if header is None else 2 + len(bank_col) + len(blanks)
-            raise DataFormatError(str(exc), row=at) from None
+        except csv.Error as exc:  # the header is row 1
+            stop = (1 if header is None else 2 + len(bank_col) + len(blanks), str(exc))
 
     def row(i) -> int:
         """CSV row number (header = 1) of data record ``i``."""
@@ -170,8 +168,8 @@ def parse_panel(source: Target, span: tuple[Optional[dt.date], Optional[dt.date]
                 raise DataFormatError(str(exc), row=row(i)) from None
         day = dt.date.fromordinal(int(ordinal[i]))
         raise DataFormatError(f"date {day} outside span [{start}, {end}]", row=row(i))
-    if bad_width:
-        raise DataFormatError(f"expected 3 fields, got {bad_width[1]}", row=bad_width[0])
+    if stop:
+        raise DataFormatError(stop[1], row=stop[0])
     if start is None or end is None:
         raise DataFormatError(
             f"cannot infer a span from an empty {'file' if header is None else 'panel'}"

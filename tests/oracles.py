@@ -97,25 +97,6 @@ def two_pass_moments(sample):
     return mean, m2, m3 / m2 ** 1.5, m4 / m2 ** 2
 
 
-def elementwise_moments(sample):
-    """Population moments with every power taken element by element.
-
-    The formula of ``ratinglab.moments`` before it took the powers once
-    per distinct value: numpy's ``c * c``, ``c**3`` and ``c**4`` over
-    the whole deviation array.  Returns (mean, variance, skewness,
-    kurtosis), the last two None for a degenerate variance.
-    """
-    x = np.asarray(sample, dtype=np.float64)
-    m1 = float(np.mean(x))
-    c = x - m1
-    m2 = float(np.mean(c * c))
-    if m2 < 1e-12:
-        return m1, m2, None, None
-    m3 = float(np.mean(c**3))
-    m4 = float(np.mean(c**4))
-    return m1, m2, m3 / m2**1.5, m4 / m2**2
-
-
 def add_months(day: dt.date, months: int) -> dt.date:
     """Shift a first-of-month date by a number of calendar months."""
     if day.day != 1:
@@ -309,16 +290,32 @@ def _iso_date(text):
 
 
 def _data_rows(text):
-    """(row number, fields) of each non-blank row after the header; None without a header."""
+    """(row number, fields) of each non-blank row after the header; None without a header.
+
+    A record the csv module rejects ends the rows as (row number, the
+    csv module's message); on the header it is the error itself.
+    """
     reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise OracleFormatError(str(exc), row=1) from None
     if header is None:
         return None
     if tuple(h.strip() for h in header) != HEADER:
         raise OracleFormatError(
             f"expected header {','.join(HEADER)!r}, got {','.join(header)!r}", row=1
         )
-    return [(lineno, row) for lineno, row in enumerate(reader, start=2) if row]
+    rows = []
+    for lineno in itertools.count(2):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return rows
+        except csv.Error as exc:
+            return rows + [(lineno, str(exc))]
+        if row:
+            rows.append((lineno, row))
 
 
 def _read_records(text, span):
@@ -326,6 +323,8 @@ def _read_records(text, span):
     start, end = span
     records = []
     for lineno, row in _data_rows(text) or []:
+        if isinstance(row, str):  # the csv module's message
+            raise OracleFormatError(row, row=lineno)
         if len(row) != 3:
             raise OracleFormatError(f"expected 3 fields, got {len(row)}", row=lineno)
         bank_id, date_text, label = (f.strip() for f in row)
@@ -386,16 +385,16 @@ def load_events(text, start=None, end=None):
 
     A missing end is the earliest or latest valid date among the rows a
     row-by-row reader reaches, those before the first row without three
-    fields.  A reversed span raises :class:`OracleSpanError`, then rows
-    are parsed; a missing end with no valid date to take it from is an
-    error only once every row has passed.
+    fields or that the csv module rejects.  A reversed span raises
+    :class:`OracleSpanError`, then rows are parsed; a missing end with no
+    valid date to take it from is an error only once every row has passed.
     """
     if start is None or end is None:
         rows = _data_rows(text)
         empty = "file" if rows is None else "panel"
         dates = []
         for _, row in rows or []:
-            if len(row) != 3:
+            if isinstance(row, str) or len(row) != 3:
                 break
             try:
                 dates.append(_iso_date(row[1].strip()))

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import datetime as dt
 import io
@@ -401,16 +402,21 @@ def valid_panel_rows(draw):
     ]
 
 
+BIG = "A" * 200_000  # over the csv module's field size limit of 131,072
+
+
 @st.composite
 def messy_rows(draw):
-    """Rows mixing bad labels, odd dates, blank lines and wrong field counts."""
+    """Rows mixing bad labels, odd dates, blank lines, wrong field counts and over-long fields."""
     field_row = st.builds(
         lambda b, d, lab: ",".join([b, d, lab]),
         st.sampled_from(BANKS).flatmap(pad),
         st.one_of(st.sampled_from(GOOD_DATES).flatmap(date_texts), st.sampled_from(ODD_DATES)),
         st.sampled_from(VALID_LABELS * 2 + ODD_LABELS).flatmap(pad),
     )
-    odd_row = st.sampled_from(["", "", "", "b1,2008-01-01", "b1,2008-01-01,B,x", "b1", '""'])
+    odd_row = st.sampled_from(
+        ["", "", "", "b1,2008-01-01", "b1,2008-01-01,B,x", "b1", '""', f"b1,2008-01-01,{BIG}"]
+    )
     return draw(st.lists(st.one_of([field_row] * 8 + [odd_row]), max_size=30))
 
 
@@ -430,8 +436,6 @@ span_ends = st.tuples(
 
 
 H = "bank_id,date,rating\n"
-
-
 @pytest.mark.parametrize(
     "text, ends, message",
     [
@@ -450,15 +454,19 @@ H = "bank_id,date,rating\n"
         # an inferred span checks rows in the same order as a given one
         (H + "b1,2007-01-01,Z+\nb1,NaT,B\n", (None, None), "row 2: unknown rating label 'Z+'"),
         (H + "b1,2007-01-01,Z+\n\nb1,2007\n", (None, D(2008, 1, 1)), "row 2: unknown rating label 'Z+'"),
+        # the row that stops the read, short or one the csv module rejects,
+        # is checked after the rows before it
+        (H + "b1,2007-01-01,ZZ\nb1,2007-02-01\n", SPAN, "row 2: unknown rating label 'ZZ'"),
+        pytest.param(H + f"b1,2007-01-01,ZZ\nb1,2007-02-01,{BIG}\n", SPAN,
+                     "row 2: unknown rating label 'ZZ'", id="over-long-row-3"),
+        pytest.param(H + f"b1,2007-01-01,ZZ\nb1,2007-02-01,{BIG}\n", (None, None),
+                     "row 2: unknown rating label 'ZZ'", id="over-long-row-3-inferred-span"),
     ],
 )
 def test_error_precedence(text, ends, message):
     with pytest.raises(DataFormatError) as got:
         rl.parse_panel(io.StringIO(text), ends)
     assert str(got.value) == message
-
-
-BIG = "A" * 200_000  # over the csv module's field size limit of 131,072
 
 
 @pytest.mark.parametrize(
@@ -527,12 +535,13 @@ def test_inferred_span_checks_like_the_given_span(text):
     # Inferring both ends changes no outcome: the same error, or the same
     # panel, as giving the earliest and latest valid date.
     days = []
-    for row in csv.reader(io.StringIO(text, newline="")):
-        if len(row) == 3:
-            try:
-                days.append(oracles._iso_date(row[1].strip()))
-            except ValueError:
-                pass
+    with contextlib.suppress(csv.Error):  # a rejected record ends the read
+        for row in csv.reader(io.StringIO(text, newline="")):
+            if len(row) == 3:
+                try:
+                    days.append(oracles._iso_date(row[1].strip()))
+                except ValueError:
+                    pass
     if not days:
         return
     assert _outcome(text, (None, None)) == _outcome(text, (min(days), max(days)))

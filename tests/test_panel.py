@@ -92,8 +92,9 @@ def test_increment_rejects_nonpositive_tau():
 
 def test_increment_default_tau_is_one_year():
     p = one_bank([(D(2007, 1, 1), 3), (D(2007, 8, 1), 6)], D(2010, 1, 1))
-    by_date = {pt.date: pt.increments for pt in rl.moment_series(p)}
-    assert by_date[D(2008, 2, 1)].mean == 3.0
+    series = rl.moment_series(p)
+    mean_by_date = dict(zip(series.date.tolist(), series.increments[:, 0].tolist()))
+    assert mean_by_date[D(2008, 2, 1)] == 3.0
     assert increment(p, D(2008, 2, 1), tau=100) == 0
 
 
