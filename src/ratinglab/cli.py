@@ -175,9 +175,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RatingLabError as exc:
         print(f"ratinglab: error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except UnicodeDecodeError as exc:
-        print(f"ratinglab: error: input is not UTF-8 text: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except OSError as exc:
         print(f"ratinglab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,8 +4,9 @@ The duration (intensity) estimator divides the count of i->j state
 changes inside a window by the time the cross-section spent in state i,
 in bank-years; the diagonal is fixed by zero row sums.  The matching
 probability matrix over the window is the exponential of the estimated
-generator scaled by the window length in years.  The cohort estimator
-is the model-free alternative built from start/end state pairs.
+generator scaled by the window length in years, summed from nonnegative
+terms (uniformization) so that small probabilities keep their digits.
+The cohort estimator is the model-free alternative from start/end pairs.
 
 A window is two day offsets into the panel's span, taken once from its
 dates by :meth:`Panel.window_days`; the matrices carry no window of
@@ -17,6 +18,7 @@ window alone; a single window is the stack with no leading axis.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +42,9 @@ __all__ = [
 ROW_SUM_TOL = 1e-9
 ENTRY_TOL = 1e-12
 GENERATOR_ROW_SUM_TOL = 1e-12
+
+#: ``[j, i]`` is 1/(5j + i)!: the Taylor coefficients of :func:`matrix_exponential`, degree 24.
+_TAYLOR_BLOCKS = np.array([[1 / math.factorial(5 * j + i) for i in range(5)] for j in range(5)])
 
 
 @dataclass(frozen=True)
@@ -216,17 +221,52 @@ def estimate_generator(counts: CountMatrix, exposure: ExposureVector) -> Generat
 def matrix_exponential(q: GeneratorMatrix, t: float | np.ndarray) -> TransitionMatrix:
     """Transition matrix ``exp(Q t)`` for each window, of ``t`` years each.
 
-    Delegates to scipy's scaling-and-squaring Pade implementation, which
-    takes the windows one by one; the result is validated against the
-    row-stochastic invariants.  scipy is imported on first use: only
-    ``homogeneity`` needs it, and it is most of the package's import time.
+    Uniformization: with ``lam`` the largest exit rate, ``B = (Q + lam I) t``
+    is nonnegative and ``exp(Q t) = exp(-lam t) exp(B)``.  ``B / 2**s``,
+    with ``lam t / 2**s <= 1``, goes through a degree-24 Taylor sum
+    (Paterson-Stockmeyer) times ``exp(-lam t / 2**s)``, squared ``s`` times
+    with rows renormalised.  No term is negative, so every entry keeps its
+    relative accuracy, which a Pade approximant's subtractions lose in the
+    small probabilities the homogeneity statistic takes logs of.  Each
+    window has its own ``s`` and bits independent of its stack; a ``lam t``
+    past the float range raises :class:`ValueError`.
     """
-    import scipy.linalg
-
     t = np.asarray(t, dtype=np.float64)
     if not np.all(np.isfinite(t) & (t >= 0)):
         raise ValueError(f"t must be a finite nonnegative duration, got {t}")
-    return TransitionMatrix(entries=scipy.linalg.expm(q.entries * t[..., None, None]))
+    diag = np.arange(N_STATES)
+    lam = -q.entries[..., diag, diag].min(axis=-1, initial=0.0)
+    shape = np.broadcast_shapes(q.entries.shape, t.shape + (N_STATES, N_STATES))
+    b = np.array(np.broadcast_to(q.entries, shape))
+    b[..., diag, diag] += lam[..., None]
+    with np.errstate(over="ignore"):
+        b *= t[..., None, None]
+        lam_t = (lam * t).reshape(-1)
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(lam_t))):
+        raise ValueError("exit rate times duration overflows the float range")
+    b = b.reshape(-1, N_STATES, N_STATES)
+    n = len(b)
+    mantissa, exponent = np.frexp(lam_t)
+    s = np.maximum(exponent - (mantissa == 0.5), 0)  # ceil(log2(lam t)), at least 0
+    powers = np.empty((n, 5, N_STATES, N_STATES))  # I, b, .., b**4 of each window
+    powers[:, 0] = np.eye(N_STATES)
+    np.ldexp(b, -s[:, None, None], out=powers[:, 1])
+    for i in range(2, 5):
+        np.matmul(powers[:, i - 1], powers[:, 1], out=powers[:, i])
+    b5 = powers[:, 4] @ powers[:, 1]
+    # Horner in b**5 over blocks sum_i b**i / (5j+i)!; reused buffers spare page faults.
+    flat = powers.reshape(n, 5, N_STATES**2)
+    p = (_TAYLOR_BLOCKS[4] @ flat).reshape(b.shape)
+    for j in range(3, -1, -1):
+        np.matmul(p, b5, out=b)
+        np.matmul(_TAYLOR_BLOCKS[j], flat, out=p.reshape(n, N_STATES**2))
+        p += b
+    p *= np.exp(-np.ldexp(lam_t, -s))[:, None, None]
+    for step in range(int(s.max(initial=0))):
+        more = np.flatnonzero(s > step)
+        m = p[more] @ p[more]
+        p[more] = m / m.sum(axis=-1, keepdims=True)
+    return TransitionMatrix(entries=p.reshape(shape))
 
 
 def empirical_transition_matrix(panel: Panel, t0: dt.date, tf: dt.date) -> TransitionMatrix:

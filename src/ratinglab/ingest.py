@@ -33,7 +33,7 @@ from .dates import parse_iso_date
 from .errors import DataFormatError, SpanError
 from .panel import Panel
 from .scale import N_STATES, RATING_LABELS, WITHDRAWN_LABEL
-from .textio import Target, format_float, text_stream, write_csv
+from .textio import Target, format_float, not_utf8, text_stream, write_csv
 
 __all__ = [
     "parse_panel",
@@ -63,8 +63,8 @@ def parse_panel(source: Target, span: tuple[Optional[dt.date], Optional[dt.date]
 
     1. the span ends before it starts (:class:`SpanError`; checked before
        the source is read when both ends are given);
-    2. per row, in row order: an unknown label, a date that is not
-       ``YYYY-MM-DD``, a date outside the span;
+    2. per row, in row order: a field that is not UTF-8 text, an unknown
+       label, a date that is not ``YYYY-MM-DD``, a date outside the span;
     3. the row that stops the read: one without three fields, or a
        record the csv module rejects, such as one with a field over its
        size limit (a source that is not a text stream stops on row 1);
@@ -148,16 +148,24 @@ def parse_panel(source: Target, span: tuple[Optional[dt.date], Optional[dt.date]
     lo = 0 if start is None else start.toordinal()
     hi = 0 if end is None else end.toordinal()
 
-    # Per row, in row order; within a row: label, date, span.
+    # Per row, in row order; within a row: UTF-8 (each distinct text once), label, date, span.
+    bad_utf8 = np.zeros(bank.size, dtype=bool)
+    for texts, code in ((bank_ids, bank), (date_texts, date_code), (label_texts, label_code)):
+        if not_utf8("".join(texts)):
+            bad_utf8 |= np.array([not_utf8(t) is not None for t in texts], dtype=bool)[code]
     ordinal = ordinals[date_code]
     bad_date = ordinal == 0
     states = np.array([_LABEL_CODE.get(t, -1) for t in label_texts], dtype=np.int64)
     state = states[label_code]
     bad_label = state < 0
     outside = ~bad_date & ((ordinal < lo) | (ordinal > hi))
-    bad = bad_label | bad_date | outside
+    bad = bad_utf8 | bad_label | bad_date | outside
     if bad.any():
         i = int(np.argmax(bad))
+        if bad_utf8[i]:
+            fields = (bank_ids[bank[i]], date_texts[date_code[i]], label_texts[label_code[i]])
+            name, what = next((n, w) for n, w in zip(HEADER, map(not_utf8, fields)) if w)
+            raise DataFormatError(f"{name} is not UTF-8 text ({what})", row=row(i))
         if bad_label[i]:
             label = label_texts[label_code[i]]
             raise DataFormatError(f"unknown rating label {label!r}", row=row(i))

@@ -62,6 +62,7 @@ from .errors import DataFormatError
 from .estimation import GeneratorMatrix
 from .panel import Panel
 from .scale import N_STATES
+from .textio import not_utf8, text_stream
 
 __all__ = [
     "Excitation",
@@ -437,9 +438,13 @@ _OPTIONAL_KEYS = {"generator_seed", "initial", *_KIND_KEYS}
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:
-    """Read a flat ``key = value`` scenario file (``#`` starts a comment)."""
+    """Read a flat ``key = value`` scenario file (``#`` starts a comment); errors name their line."""
     mapping: dict[str, str] = {}
-    for lineno, raw_line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    with text_stream(Path(path)) as stream:
+        lines = stream.read().splitlines()
+    for lineno, raw_line in enumerate(lines, 1):
+        if not_utf8(raw_line):
+            raise DataFormatError(f"not UTF-8 text ({not_utf8(raw_line)})", row=lineno)
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import re
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
@@ -16,12 +17,22 @@ def text_stream(target: Target, mode: str = "r") -> Iterator[IO[str]]:
 
     A path is opened as UTF-8 (with ``newline=""`` for the csv module)
     and closed on exit; a text stream is used as it is and left open.
+    A byte that is not UTF-8 reads as a lone surrogate (see :func:`not_utf8`).
     """
     if isinstance(target, (str, Path)):
-        with open(target, mode, encoding="utf-8", newline="") as stream:
+        with open(target, mode, encoding="utf-8", errors="surrogateescape", newline="") as stream:
             yield stream
     else:
         yield target
+
+
+def not_utf8(text: str) -> Optional[str]:
+    """The first lone surrogate in ``text`` (a byte surrogateescape kept, or a code point), or ``None``."""
+    found = re.search("[\ud800-\udfff]", text)
+    if found is None:
+        return None
+    point = ord(found[0])
+    return f"byte 0x{point - 0xDC00:02x}" if 0xDC80 <= point <= 0xDCFF else f"code point U+{point:04X}"
 
 
 def write_csv(target: Target, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -319,7 +319,11 @@ def _data_rows(text):
 
 
 def _read_records(text, span):
-    """Validated (bank_id, date, label, row) per data row, in row order."""
+    """Validated (bank_id, date, label, row) per data row, in row order.
+
+    ``text`` is what a path reads as with ``surrogateescape``: a byte that
+    is not UTF-8 is a lone surrogate, and any lone surrogate fails its row.
+    """
     start, end = span
     records = []
     for lineno, row in _data_rows(text) or []:
@@ -328,6 +332,15 @@ def _read_records(text, span):
         if len(row) != 3:
             raise OracleFormatError(f"expected 3 fields, got {len(row)}", row=lineno)
         bank_id, date_text, label = (f.strip() for f in row)
+        for name, field in zip(HEADER, (bank_id, date_text, label)):
+            for char in field:
+                if "\udc80" <= char <= "\udcff":  # a byte surrogateescape kept
+                    what = f"byte 0x{ord(char) - 0xDC00:02x}"
+                elif "\ud800" <= char <= "\udfff":
+                    what = f"code point U+{ord(char):04X}"
+                else:
+                    continue
+                raise OracleFormatError(f"{name} is not UTF-8 text ({what})", row=lineno)
         if label not in LABELS and label != WITHDRAWN:
             raise OracleFormatError(f"unknown rating label {label!r}", row=lineno)
         try:

@@ -289,7 +289,29 @@ def test_non_utf8_input_is_data_error(tmp_path, capsys):
     code = run("counts", "--input", str(bad), "--output", str(tmp_path / "o"))
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("ratinglab: error: input is not UTF-8 text") and err.count("\n") == 1
+    assert err == "ratinglab: error: row 2: bank_id is not UTF-8 text (byte 0xe9)\n"
+
+
+@pytest.mark.parametrize(
+    "row_3, message",
+    [("b1,2007-02-01,ZZ", "row 3: unknown rating label 'ZZ'"),
+     ("b1,2007-02-01,C", "row 4: date is not UTF-8 text (byte 0xe9)")],
+    ids=["bad-label-first", "bad-byte"],
+)
+def test_non_utf8_byte_checked_in_row_order(tmp_path, capsys, row_3, message):
+    bad = tmp_path / "panel.csv"
+    bad.write_bytes(f"bank_id,date,rating\nb1,2007-01-01,B\n{row_3}\n".encode() + b"b1,2007-03-0\xe9,B\n")
+    code = run("counts", "--input", str(bad), "--output", str(tmp_path / "o"))
+    assert code == 2
+    assert capsys.readouterr().err == f"ratinglab: error: {message}\n"
+
+
+def test_non_utf8_scenario_is_data_error(tmp_path, capsys):
+    scen_path = tmp_path / "scen.txt"
+    scen_path.write_bytes(STATIC_SCENARIO.encode("utf-8") + b"# caf\xe9\n")
+    code = run("simulate", "--scenario", str(scen_path), "--output", str(tmp_path / "p.csv"))
+    assert code == 2
+    assert capsys.readouterr().err == "ratinglab: error: row 8: not UTF-8 text (byte 0xe9)\n"
 
 
 def test_oversized_field_is_data_error(tmp_path, capsys):
@@ -669,13 +691,24 @@ def test_repeat_runs_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # only homogeneity's matrix exponential needs scipy; it loads on first use
-    code = "import sys, ratinglab.cli; print('scipy' in sys.modules)"
+def test_cli_commands_leave_scipy_unloaded(tmp_path):
+    # importing scipy.linalg would cost a fresh process more than its compute
+    code = f"""
+import sys
+from pathlib import Path
+from ratinglab.cli import main
+d = Path({str(tmp_path)!r})
+(d / "scen.txt").write_text({ACTIVE_SCENARIO!r}, encoding="utf-8")
+panel = str(d / "panel.csv")
+codes = [main(["simulate", "--scenario", str(d / "scen.txt"), "--output", panel])]
+for command in ("counts", "moments", "homogeneity", "ck"):
+    codes.append(main([command, "--input", panel, "--output", str(d / command)]))
+print(codes, "scipy" in sys.modules)
+"""
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=SUBPROCESS_ENV,
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=SUBPROCESS_ENV,
     )
-    assert (done.returncode, done.stdout) == (0, "False\n")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[0, 0, 0, 0, 0] False\n", "")
 
 
 def test_console_entry_point_module():

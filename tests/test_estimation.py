@@ -265,6 +265,69 @@ def test_expm_row_sums():
         assert np.max(np.abs(m.entries.sum(axis=1) - 1.0)) < 1e-9
 
 
+def one_notch_chain(rate):
+    """State i moves to i + 1 at ``rate``; state 14 absorbs."""
+    q = np.zeros((15, 15))
+    for i in range(14):
+        q[i, i], q[i, i + 1] = -rate, rate
+    return rl.GeneratorMatrix(entries=q)
+
+
+@pytest.mark.parametrize("rate, t, below", [(0.5, 1 / 12, 1e-27), (3.0, 1.0, 1e-4), (40.0, 2.0, 1e-19)])
+def test_expm_one_notch_chain_entrywise_relative(rate, t, below):
+    # P(i -> i + k) is the Poisson probability e^{-rt} (rt)^k / k! below the
+    # absorbing state; the smallest is under ``below``, and none may lose its digits
+    m = rl.matrix_exponential(one_notch_chain(rate), t).entries
+    x = rate * t
+    worst, smallest = 0.0, 1.0
+    for i in range(14):
+        for j in range(14):
+            exact = math.exp(-x) * x ** (j - i) / math.factorial(j - i) if j >= i else 0.0
+            if exact == 0.0:
+                assert m[i, j] == 0.0
+                continue
+            worst = max(worst, abs(m[i, j] - exact) / exact)
+            smallest = min(smallest, exact)
+    assert worst <= 1e-13 and smallest < below
+
+
+def test_expm_entries_never_negative():
+    # criterion 1's generators: every term of the sum is nonnegative
+    for k in range(100):
+        q = rl.random_generator(1000 + k, (0.1, 0.3, 1.0, 3.0)[k % 4])
+        assert rl.matrix_exponential(q, (0.25, 0.5, 1.0, 2.0, 5.0)[k % 5]).entries.min() >= 0.0
+
+
+def test_expm_rows_stay_stochastic_at_large_rate_times():
+    # lam t = 4e7 takes 26 squarings; each is renormalised
+    m = rl.matrix_exponential(rl.random_generator(1, 1e6), 40.0).entries
+    assert np.abs(m.sum(axis=-1) - 1.0).max() <= 1e-12
+
+
+def test_expm_stack_windows_bit_equal_to_their_slices():
+    # lam t from 0 through 1e6: each window squares its own number of times
+    scales = [0.001, 0.3, 1.0, 7.0, 300.0, 1e5]
+    q = np.stack([rl.random_generator(k, s).entries for k, s in enumerate(scales)]).reshape(2, 3, 15, 15)
+    q[0, 0] = 0.0
+    t = np.array([[0.0, 1 / 12, 1.0], [2.5, 1.0, 10.0]])
+    stack = rl.matrix_exponential(rl.GeneratorMatrix(entries=q), t).entries
+    for w in np.ndindex(2, 3):
+        one = rl.matrix_exponential(rl.GeneratorMatrix(entries=q[w]), t[w]).entries
+        assert one.tobytes() == stack[w].tobytes()
+    # a scalar t broadcasts over the stack
+    same_t = rl.matrix_exponential(rl.GeneratorMatrix(entries=q), 1.0).entries
+    assert same_t[1, 1].tobytes() == stack[1, 1].tobytes()
+
+
+@pytest.mark.parametrize("rate, t", [(1e308, 40.0), (1e300, 1e10)])
+def test_expm_rate_times_past_float_range_is_value_error(rate, t):
+    # pyproject turns any numpy warning into a failure
+    q = np.zeros((15, 15))
+    q[0, 0], q[0, 1], q[0, 2] = -rate, rate / 2, rate / 2
+    with pytest.raises(ValueError, match="overflows the float range"):
+        rl.matrix_exponential(rl.GeneratorMatrix(entries=q), t)
+
+
 def test_expm_rejects_bad_t():
     with pytest.raises(ValueError):
         rl.matrix_exponential(zero_generator(), -1.0)

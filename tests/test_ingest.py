@@ -354,12 +354,15 @@ def test_parse_row_shuffle_property():
 
 DAY0 = D(2008, 1, 1)
 GOOD_DATES = [DAY0 + dt.timedelta(days=k) for k in range(0, 42, 3)]
+# "\udce9" is byte 0xE9 read with surrogateescape; "\ud800" can only come in a text stream
 ODD_DATES = (
     "2008-01", "NaT", "0000-01-01", "", "  ", "2008-02-30", "01/02/2008", "2008-1-4",
+    "2008-01-0\udce9",
 )
 VALID_LABELS = ("B", "B+", "C", "A-", "WR")
-ODD_LABELS = ("Z+", "", "wr", "b")
+ODD_LABELS = ("Z+", "", "wr", "b", "B\udce9", "\ud800")
 BANKS = ("b1", "b2", "b3")
+ODD_BANKS = ("b\udce9",)
 
 
 def date_texts(day):
@@ -407,10 +410,11 @@ BIG = "A" * 200_000  # over the csv module's field size limit of 131,072
 
 @st.composite
 def messy_rows(draw):
-    """Rows mixing bad labels, odd dates, blank lines, wrong field counts and over-long fields."""
+    """Rows mixing bad labels, odd dates, bytes that are not UTF-8, blank lines,
+    wrong field counts and over-long fields."""
     field_row = st.builds(
         lambda b, d, lab: ",".join([b, d, lab]),
-        st.sampled_from(BANKS).flatmap(pad),
+        st.sampled_from(BANKS * 3 + ODD_BANKS).flatmap(pad),
         st.one_of(st.sampled_from(GOOD_DATES).flatmap(date_texts), st.sampled_from(ODD_DATES)),
         st.sampled_from(VALID_LABELS * 2 + ODD_LABELS).flatmap(pad),
     )
@@ -461,6 +465,12 @@ H = "bank_id,date,rating\n"
                      "row 2: unknown rating label 'ZZ'", id="over-long-row-3"),
         pytest.param(H + f"b1,2007-01-01,ZZ\nb1,2007-02-01,{BIG}\n", (None, None),
                      "row 2: unknown rating label 'ZZ'", id="over-long-row-3-inferred-span"),
+        # UTF-8 first within a row, bank id first among the fields; bytes
+        # that are not UTF-8 read as lone surrogates ("\udce9" is 0xE9)
+        (H + "b1,2007-01-01,ZZ\nb1,2007-02-0\udce9,B\n", SPAN, "row 2: unknown rating label 'ZZ'"),
+        (H + "b1,2007-01-01,B\nb1,2007-02-0\udce9,ZZ\n", SPAN, "row 3: date is not UTF-8 text (byte 0xe9)"),
+        (H + "b\udce9,2007-01-01,B\udcff\n", SPAN, "row 2: bank_id is not UTF-8 text (byte 0xe9)"),
+        (H + "b1,2007-01-01,\ud800\n", SPAN, "row 2: rating is not UTF-8 text (code point U+D800)"),
     ],
 )
 def test_error_precedence(text, ends, message):
