@@ -106,20 +106,29 @@ def moment_series(panel: Panel, tau: int = 365) -> MomentSeries:
         raise ValueError(f"tau must be >= 1 day, got {tau}")
     dates, rating_counts, increment_counts = [], [], []
     for month_dates, days in panel.month_passes():
-        # Every lag before the span start reads as unrated, so -1 stands for them all.
-        block, (now_at, then_at) = panel.cross_sections(days, [max(d - tau, -1) for d in days])
-        for i, j in zip(now_at, then_at):
-            now, then = block[i], block[j]  # row by row: block[now_at] would copy the block
-            rating_counts.append(np.bincount(now[now >= 0], minlength=N_STATES))
-            both = (now >= 0) & (then >= 0)  # increments need both ends rated
-            increment = (now - then + (N_STATES - 1))[both]  # -14..14 as 0..28
-            increment_counts.append(np.bincount(increment, minlength=2 * N_STATES - 1))
+        ratings, increments = _level_counts(panel, days, tau)
+        rating_counts += ratings
+        increment_counts += increments
         dates += month_dates
     return MomentSeries(
         np.array(dates, dtype="datetime64[D]"),
         _moments(np.arange(N_STATES), np.reshape(rating_counts, (-1, N_STATES))),
         _moments(np.arange(1 - N_STATES, N_STATES), np.reshape(increment_counts, (-1, 2 * N_STATES - 1))),
     )
+
+
+def _level_counts(panel: Panel, days: list[int], tau: int) -> tuple[list, list]:
+    """Rating and increment level counts on each of ``days``; the pass's block is freed on return."""
+    # Every lag before the span start reads as unrated, so -1 stands for them all.
+    block, (now_at, then_at) = panel.cross_sections(days, [max(d - tau, -1) for d in days])
+    ratings, increments = [], []
+    for i, j in zip(now_at, then_at):
+        now, then = block[i], block[j]  # row by row: block[now_at] would copy the block
+        ratings.append(np.bincount(now[now >= 0], minlength=N_STATES))
+        both = (now >= 0) & (then >= 0)  # increments need both ends rated
+        increment = (now - then + (N_STATES - 1))[both]  # -14..14 as 0..28
+        increments.append(np.bincount(increment, minlength=2 * N_STATES - 1))
+    return ratings, increments
 
 
 def write_moment_series_csv(series: MomentSeries, target: Target) -> None:

@@ -20,30 +20,24 @@ state.  A row's total is the exit rate, in which holding times are
 exponential, and a jump's target is a ``side="right"`` search into the
 row.  At a regime boundary or an excitation expiry the clock restarts
 with the new rates (exact for exponential clocks).  Jump times are
-recorded at whole days; a jump that would land on its bank's previous
-event day is re-drawn from the same time.  After ``COLLISION_LIMIT``
-re-draws in a row the bank instead draws once from ``m = min(last day
-+ 1/2, segment end)``, and from then on it does so after each of its
-collisions: the re-draws stop at the first time at or past ``m``, and
-holding times are memoryless, so that time is ``m`` plus an
-exponential holding time either way.  The rule keeps the process and
-changes no bytes unless a bank collides that often; at tens of jumps a
-day it is what lets the loop finish, in a few steps per day.
+recorded at whole days, and a jump that would land on its bank's
+previous event day is drawn once more, from ``min(last day + 1/2,
+segment end)``.  Holding times are memoryless, so that one draw has the
+law of re-drawing from the same time until the day differs.
 
 The loop runs in lockstep over blocks of ``BANKS_PER_BLOCK`` banks:
 each step, every bank still inside the span rests to its segment end
-(zero exit rate or a holding time past the segment), re-draws after a
-collision, or jumps, all in numpy arrays.  The streams are computed in
-bulk with the same bits as ``default_rng``: ``SeedSequence`` (NEP 19
-fixes its hashing) and ``PCG64`` (a 128-bit LCG with the XSL-RR output,
-O'Neill, HMC-CS-2014-0905) are integer arithmetic, carried out here on
-uint32 words and uint64 limbs for every bank of a block at once, with
-each draw advancing only the streams of the banks that draw.  The
-float steps are those of a per-bank Python loop, element by element;
-the logarithm is ``math.log`` per element, since ``np.log`` may differ
-from it in the last bit.  So the panel bytes do not depend on the
-block size, and the per-bank loop in the tests' oracles reproduces
-them.
+(zero exit rate or a holding time past the segment) or jumps, all in
+numpy arrays.  The streams are computed in bulk with the same bits as
+``default_rng``: ``SeedSequence`` (NEP 19 fixes its hashing) and
+``PCG64`` (a 128-bit LCG with the XSL-RR output, O'Neill,
+HMC-CS-2014-0905) are integer arithmetic, carried out here on uint32
+words and uint64 limbs for every bank of a block at once, with each
+draw advancing only the streams of the banks that draw.  The float
+steps are those of a per-bank Python loop, element by element; the
+logarithm is ``math.log`` per element, since ``np.log`` may differ from
+it in the last bit.  So the panel bytes do not depend on the block
+size, and the per-bank loop in the tests' oracles reproduces them.
 """
 
 from __future__ import annotations
@@ -82,8 +76,6 @@ KINDS = ("homogeneous", "regime_switch", "excited")
 # 150k banks over four years (2-core x86-64 host) blocks of 1,024 took 1.0 s, blocks
 # of 4,096 0.53-0.69 s at 61 MB peak RSS, and one block 0.61-0.67 s at 90 MB.
 BANKS_PER_BLOCK = 4096
-# Consecutive same-day re-draws after which a bank draws past each of its collisions.
-COLLISION_LIMIT = 64
 
 
 def uniform_distribution() -> np.ndarray:
@@ -347,8 +339,6 @@ def _simulate_block(
     t = np.full(bank.size, bounds[0])
     last_day = t.copy()
     excite_until = np.full(bank.size, -np.inf)
-    collisions = np.zeros(bank.size, dtype=np.int64)
-    limit = np.full(bank.size, COLLISION_LIMIT)  # 1 once a bank has reached the limit
     with np.errstate(over="ignore"):  # a tiny exit rate gives an infinite holding time
         while bank.size:
             regime = np.searchsorted(bounds, t, side="right") - 1
@@ -359,19 +349,14 @@ def _simulate_block(
             # lanes at rest (λ = 0) skip to the segment end without a draw
             x = np.full(bank.size, np.inf)
             draw = np.flatnonzero(lam > 0.0)
-            limit = np.where(collisions >= limit, 1, limit)
-            origin = np.where(
-                collisions[draw] < limit[draw],
-                t[draw],
-                np.minimum(last_day[draw] + 0.5, seg_end[draw]),
-            )
-            x[draw] = origin - _log1m(_random(streams, draw)) / lam[draw]
+            x[draw] = t[draw] - _log1m(_random(streams, draw)) / lam[draw]
+            again = np.flatnonzero((x < seg_end) & (np.floor(x + 0.5) <= last_day))
+            if again.size:  # same day as the last event: one draw from past that day
+                origin = np.minimum(last_day[again] + 0.5, seg_end[again])
+                x[again] = origin - _log1m(_random(streams, again)) / lam[again]
             moved = x >= seg_end
-            day = np.floor(x + 0.5)
-            collided = ~moved & (day <= last_day)  # re-drawn from the same t next step
             t = np.where(moved, seg_end, t)
-            collisions = np.where(collided, collisions + 1, 0)
-            jump = np.flatnonzero(~moved & ~collided)
+            jump = np.flatnonzero(~moved)
             if jump.size:
                 rows = row[jump]
                 # bisect_right: the number of running sums not above u * λ
@@ -379,17 +364,16 @@ def _simulate_block(
                 chosen = N_STATES - (target[:, None] < cum[rows]).sum(axis=1)
                 chosen = np.where(chosen == N_STATES, last[rows], chosen)  # roundoff guard
                 x_jump = x[jump]
+                day = np.floor(x_jump + 0.5)
                 excite_until[jump] = np.where(chosen < state[jump], x_jump + memory, excite_until[jump])
-                state[jump], t[jump], last_day[jump] = chosen, x_jump, day[jump]
+                state[jump], t[jump], last_day[jump] = chosen, x_jump, day
                 event_bank.append(bank[jump])
-                event_day.append(day[jump])
+                event_day.append(day)
                 event_state.append(chosen)
             alive = t < end
             if not alive.all():
                 bank, t, state, last_day = bank[alive], t[alive], state[alive], last_day[alive]
-                excite_until, collisions = excite_until[alive], collisions[alive]
-                limit = limit[alive]
-                streams = streams[:, alive]
+                excite_until, streams = excite_until[alive], streams[:, alive]
 
     bank = np.concatenate(event_bank)
     order = np.argsort(bank, kind="stable")  # each bank's events in step order

@@ -17,10 +17,13 @@ def text_stream(target: Target, mode: str = "r") -> Iterator[IO[str]]:
 
     A path is opened as UTF-8 (with ``newline=""`` for the csv module)
     and closed on exit; a text stream is used as it is and left open.
-    A byte that is not UTF-8 reads as a lone surrogate (see :func:`not_utf8`).
+    Reading skips a leading byte order mark, which spreadsheets write;
+    writing never writes one.  A byte that is not UTF-8 reads as a lone
+    surrogate (see :func:`not_utf8`).
     """
     if isinstance(target, (str, Path)):
-        with open(target, mode, encoding="utf-8", errors="surrogateescape", newline="") as stream:
+        encoding = "utf-8-sig" if mode == "r" else "utf-8"
+        with open(target, mode, encoding=encoding, errors="surrogateescape", newline="") as stream:
             yield stream
     else:
         yield target

@@ -191,8 +191,7 @@ WITHDRAWN = "WR"
 HEADER = ("bank_id", "date", "rating")
 
 
-def simulate_events(generators, end, n_banks, seed, initial, gamma=1.0, memory_days=0,
-                    collision_limit=64):
+def simulate_events(generators, end, n_banks, seed, initial, gamma=1.0, memory_days=0):
     """Per-bank reference simulator: each bank ``k`` runs a plain Python
     loop on its own ``np.random.default_rng((seed, k))`` stream.
 
@@ -201,11 +200,9 @@ def simulate_events(generators, end, n_banks, seed, initial, gamma=1.0, memory_d
     is the span end's ordinal.  With ``memory_days`` set, a bank's
     downward rates are ``gamma`` times larger for that many days after
     each of its downgrades.  A jump landing on the bank's previous
-    event day is re-drawn from the same time; after ``collision_limit``
-    re-draws in a row the next draw starts from ``min(last day + 1/2,
-    segment end)``, and so does the bank's draw after each later
-    collision.  Returns (offsets, day offsets, states) lists in
-    the panel's compressed-sparse-row layout.
+    event day is drawn once more, from ``min(last day + 1/2, segment
+    end)``.  Returns (offsets, day offsets, states) lists in the
+    panel's compressed-sparse-row layout.
     """
     bounds = [float(day) for day, _ in generators] + [float(end)]
     table = []
@@ -230,7 +227,6 @@ def simulate_events(generators, end, n_banks, seed, initial, gamma=1.0, memory_d
         states.append(state)
         last_day, t = day0, bounds[0]
         excite_until = -math.inf
-        collisions, limit = 0, collision_limit
         while t < bounds[-1]:
             regime = bisect.bisect_right(bounds, t) - 1
             excited = t < excite_until
@@ -238,20 +234,15 @@ def simulate_events(generators, end, n_banks, seed, initial, gamma=1.0, memory_d
             cum, last = table[regime][excited][state]
             lam = cum[-1]
             if lam <= 0.0:
-                t, collisions = seg_end, 0
+                t = seg_end
                 continue
-            if collisions < limit:
-                origin = t
-            else:
-                origin, limit = min(last_day + 0.5, seg_end), 1
-            x = origin - math.log(1.0 - rng.random()) / lam
+            x = t - math.log(1.0 - rng.random()) / lam
+            if x < seg_end and math.floor(x + 0.5) <= last_day:
+                x = min(last_day + 0.5, seg_end) - math.log(1.0 - rng.random()) / lam
             if x >= seg_end:
-                t, collisions = seg_end, 0
+                t = seg_end
                 continue
             day = math.floor(x + 0.5)
-            if day <= last_day:
-                collisions += 1
-                continue
             chosen = bisect.bisect_right(cum, rng.random() * lam)
             if chosen == N_STATES:
                 chosen = last
@@ -259,7 +250,7 @@ def simulate_events(generators, end, n_banks, seed, initial, gamma=1.0, memory_d
             states.append(chosen)
             if chosen < state:
                 excite_until = x + memory_days
-            state, t, last_day, collisions = chosen, x, day, 0
+            state, t, last_day = chosen, x, day
         offsets.append(len(days))
     return offsets, days, states
 

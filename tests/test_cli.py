@@ -314,6 +314,27 @@ def test_non_utf8_scenario_is_data_error(tmp_path, capsys):
     assert capsys.readouterr().err == "ratinglab: error: row 8: not UTF-8 text (byte 0xe9)\n"
 
 
+def test_byte_order_mark_is_skipped_on_read_and_never_written(tmp_path):
+    # spreadsheets' "CSV UTF-8" export starts the file with EF BB BF
+    outputs = {}
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        work = tmp_path / f"bom-{len(prefix)}"
+        work.mkdir()
+        (work / "scen.txt").write_bytes(prefix + ACTIVE_SCENARIO.encode())
+        assert run("simulate", "--scenario", str(work / "scen.txt"), "--output", str(work / "sim.csv")) == 0
+        (work / "panel.csv").write_bytes(prefix + (work / "sim.csv").read_bytes())
+        for command in ("counts", "moments", "homogeneity", "ck"):
+            assert run(command, "--input", str(work / "panel.csv"), "--output", str(work / command)) == 0
+        written = [path for path in sorted(work.rglob("*")) if path.is_file()]
+        outputs[prefix] = {
+            path.relative_to(work): path.read_bytes()
+            for path in written if path.name not in ("scen.txt", "panel.csv")
+        }
+    assert len(outputs[b""]) == 6
+    assert outputs[b""] == outputs[b"\xef\xbb\xbf"]
+    assert not any(data.startswith(b"\xef\xbb\xbf") for data in outputs[b""].values())
+
+
 def test_oversized_field_is_data_error(tmp_path, capsys):
     # the csv module rejects fields over 131,072 characters
     big = tmp_path / "big.csv"
@@ -531,15 +552,14 @@ def test_simulate_large_rates_pass_generator_validation(tmp_path, capsys, kind, 
     [
         ("2007-01-01", "2007-01-03", "30000"),
         ("2007-01-01", "2007-01-10", "1e300"),
-        # every day collides: 64 re-draws once, then one after each jump
+        # every day collides, so each jump is drawn twice
         ("2000-01-01", "2040-01-01", "1e308"),
     ],
     ids=["2007-01-03-30000", "2007-01-10-1e300", "2040-01-01-1e308"],
 )
 def test_simulate_extreme_rates_finish(tmp_path, start, end, rate_scale):
-    # at these rates nearly every jump lands on the bank's last event
-    # day; after 64 re-draws in a row the bank draws past that day, as
-    # it does after each of its later collisions
+    # at these rates nearly every jump first lands on the bank's last
+    # event day and is drawn once more, from half a day past it
     scen_path = tmp_path / "scen.txt"
     scen_path.write_text(
         f"kind = homogeneous\nn_banks = 1\nstart = {start}\n"

@@ -1,6 +1,7 @@
 import datetime as dt
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -304,6 +305,35 @@ def test_moment_series_rows_are_moments_of_each_month(panel, tau, per_pass):
     # lags of up to 800 days reach before the span start, where every bank is unrated
     with mock.patch.object(panel_module, "MONTHS_PER_PASS", per_pass):
         assert_rows_are_month_moments(panel, tau)
+
+
+def test_moment_series_holds_one_pass_block_at_a_time():
+    # 20,000 static banks over 30 years: passes of 120 months build blocks
+    # of about 3 MB each.  The series' peak is one pass's, not two.
+    scenario = rl.scenario_from_mapping({
+        "kind": "homogeneous", "n_banks": "20000", "start": "1990-01-01", "end": "2020-01-01",
+        "seed": "1", "rate_scale": "0",
+    })
+    panel = rl.simulate(scenario)
+    assert panel_module.MONTHS_PER_PASS == 120
+    rl.moment_series(flat_panel([3, 7]))  # first-call allocations (imports) happen here
+    tracemalloc.start()
+    try:
+        pass_peaks = []
+        for _, days in panel.month_passes():
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            built = panel.cross_sections(days, [max(d - 365, -1) for d in days])
+            pass_peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            del built
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        rl.moment_series(panel, tau=365)
+        series_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(pass_peaks) == 4  # 361 month starts
+    assert series_peak < 1.25 * max(pass_peaks)
 
 
 @pytest.mark.parametrize("tau", [30, 365])

@@ -17,14 +17,19 @@ a span (``data/golden_short_panel.csv``, the rows of the golden panel
 dated 2008-02-10..2009-01-20) shorter than a year window, and a short
 increment lag.
 
-The ``simulate_*.csv`` files were written by the simulator that drew
-each jump by summing its rates step by step, before the rates were
-tabulated once per scenario.  They pin the random streams and the
-arithmetic of the draws: a high rate that forces same-day re-draws, a
-regime switch, excitation that expires, a static panel, and initial
-states given as ``state:K`` and as 15 weights with zeros.  A new
-sampler that changes the streams on purpose (ROADMAP item 3,
-uniformization) regenerates these files and says so.
+The ``simulate_*.csv`` files pin the random streams and the arithmetic
+of the draws: a high rate that forces same-day jumps to be drawn again,
+a regime switch, excitation that expires, a static panel, and initial
+states given as ``state:K`` and as 15 weights with zeros.
+``simulate_regime_switch.csv`` and ``simulate_static.csv`` were written
+by the simulator that drew each jump by summing its rates step by step,
+before the rates were tabulated once per scenario.
+``simulate_homogeneous.csv`` and ``simulate_excited.csv`` were
+rewritten when a same-day jump came to be drawn once more from half a
+day past the last event, instead of again and again from the same time:
+15 of their 25 banks and 4 of 30 changed, each of them a bank that
+collided.  A change to the sampler that moves the streams on purpose
+regenerates these files and says so.
 """
 
 from pathlib import Path

@@ -1,3 +1,4 @@
+import bisect
 import datetime as dt
 import io
 import math
@@ -128,6 +129,55 @@ def test_high_rate_collisions_stay_valid():
         assert all(a[0] < b[0] and a[1] != b[1] for a, b in zip(events, events[1:]))
 
 
+def ks_distance(a, b):
+    """Largest gap between the two samples' empirical distribution functions."""
+    values = np.union1d(a, b)
+    cdf = [np.searchsorted(np.sort(s), values, side="right") / s.size for s in (a, b)]
+    return float(np.abs(cdf[0] - cdf[1]).max())
+
+
+def test_one_redraw_has_the_law_of_redrawing_until_the_day_differs():
+    # The whole-day rule by its definition: redraw from the same time
+    # until the rounded day differs from the last event day.  About one
+    # jump a day, so more than a third of the jumps collide at least once.
+    q = rl.random_generator(4, 300.0)
+    n_banks, n_days = 1000, 90
+    rates = np.maximum(q.entries / 365.0, 0.0)
+    np.fill_diagonal(rates, 0.0)
+    cum = np.cumsum(rates, axis=1).tolist()
+    rng = np.random.default_rng(99)
+    counts, gaps, jumps, collided = [], [], 0, 0
+    for _ in range(n_banks):
+        state, t, days = 7, 0.0, [0]
+        while True:
+            lam, redraws = cum[state][-1], 0
+            while True:
+                x = t - math.log(1.0 - rng.random()) / lam
+                if x >= n_days or math.floor(x + 0.5) > days[-1]:
+                    break
+                redraws += 1
+            if x >= n_days:
+                break
+            jumps, collided = jumps + 1, collided + (redraws > 0)
+            state, t = bisect.bisect_right(cum[state], rng.random() * lam), x
+            days.append(math.floor(x + 0.5))
+        counts.append(len(days))
+        gaps += np.diff(days).tolist()
+    assert collided > jumps / 3
+
+    panel = rl.simulate(
+        homogeneous(q, n_banks, T0 + dt.timedelta(days=n_days), seed=5, initial=rl.point_mass_distribution(7))
+    )
+    sim_counts = np.diff(panel.offsets)
+    sim_gaps = np.diff(panel.event_day)[np.diff(np.repeat(np.arange(n_banks), sim_counts)) == 0]
+    # Two-sample Kolmogorov-Smirnov bound at about 1e-4 two-sided (conservative for
+    # integer values).  A second draw from a whole day past the last event day,
+    # not half a day, puts the counts' distance at 3.1 times the bound.
+    for literal, simulated in ((np.array(counts), sim_counts), (np.array(gaps), sim_gaps)):
+        n, m = literal.size, simulated.size
+        assert ks_distance(literal, simulated) < 2.23 * math.sqrt((n + m) / (n * m))
+
+
 # -- the lockstep loop against the per-bank reference ----------------------
 
 
@@ -148,7 +198,7 @@ def test_log1m_is_math_log():
     assert simulator._log1m(u).tolist() == [math.log(1.0 - x) for x in u.tolist()]
 
 
-def reference_events(scenario, collision_limit=simulator.COLLISION_LIMIT):
+def reference_events(scenario):
     excitation = scenario.excitation
     return simulate_events(
         [(d.toordinal(), g.entries) for d, g in scenario.generators],
@@ -158,7 +208,6 @@ def reference_events(scenario, collision_limit=simulator.COLLISION_LIMIT):
         scenario.initial_distribution,
         gamma=excitation.gamma if excitation is not None else 1.0,
         memory_days=excitation.memory_days if excitation is not None else 0,
-        collision_limit=collision_limit,
     )
 
 
@@ -219,17 +268,6 @@ def test_simulate_matches_reference_across_blocks(monkeypatch, blocks):
     })
     monkeypatch.setattr(simulator, "BANKS_PER_BLOCK", blocks)
     assert_matches_reference(scenario)
-
-
-def test_collision_limit_matches_reference():
-    # at about 8 jumps a day a bank often re-draws 64 times in a row
-    scenario = rl.scenario_from_mapping({
-        "kind": "homogeneous", "n_banks": "6", "start": "2007-01-01", "end": "2007-03-01",
-        "seed": "3", "rate_scale": "3000",
-    })
-    assert_matches_reference(scenario)
-    # the rule took effect: a limit of 65 re-draws gives another panel
-    assert reference_events(scenario, collision_limit=65) != reference_events(scenario)
 
 
 def test_excited_downgrades_cluster():
