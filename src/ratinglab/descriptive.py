@@ -5,10 +5,10 @@ kurtosis is non-excess, so a Gaussian sample sits at 3.  Skewness and
 kurtosis are undefined when the variance is degenerate.
 
 One formula takes every moment from the counts of a sample's distinct
-values, for one sample or a stack.  A rolling series counts, on each
-month start of :meth:`Panel.month_passes`, the ratings over 15 levels
-and the increments over 29; a lag before the span start (even before
-the year 1) is unrated.
+values, for one sample or a stack.  A rolling series takes, on each
+month start, a :func:`pair_counts` table of (lagged, current) states and
+counts ratings and increments as its rated columns and diagonals; a lag
+before the span start (even before the year 1) is unrated.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .panel import Panel
+from .panel import Panel, pair_counts
 from .scale import N_STATES
 from .textio import Target, format_float, write_csv
 
@@ -34,6 +34,10 @@ __all__ = [
 
 #: Variance below this is treated as degenerate: skewness/kurtosis undefined.
 DEGENERATE_VARIANCE = 1e-12
+
+_LEVELS, _INCREMENTS = np.arange(N_STATES), np.arange(1 - N_STATES, N_STATES)
+#: ``[15 i + j, k]`` is 1 where ``j - i == _INCREMENTS[k]``: flat rated pairs to increments.
+_PAIR_INCREMENT = (np.add.outer(-_LEVELS, _LEVELS).reshape(-1, 1) == _INCREMENTS).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -104,31 +108,17 @@ def moment_series(panel: Panel, tau: int = 365) -> MomentSeries:
     tau = operator.index(tau)  # a float would shift every lag
     if tau < 1:
         raise ValueError(f"tau must be >= 1 day, got {tau}")
-    dates, rating_counts, increment_counts = [], [], []
+    dates, ratings, increments = [], [np.empty((0, 4))], [np.empty((0, 4))]
     for month_dates, days in panel.month_passes():
-        ratings, increments = _level_counts(panel, days, tau)
-        rating_counts += ratings
-        increment_counts += increments
+        # Every lag before the span start reads as unrated, so -1 stands for them all;
+        # Python ints, since tau may be past the int64 range.
+        pairs = pair_counts(*panel.cross_sections([max(d - tau, -1) for d in days], days))
         dates += month_dates
+        ratings.append(_moments(_LEVELS, pairs[:, :, 1:].sum(axis=1)))
+        increments.append(_moments(_INCREMENTS, pairs[:, 1:, 1:].reshape(-1, N_STATES**2) @ _PAIR_INCREMENT))
     return MomentSeries(
-        np.array(dates, dtype="datetime64[D]"),
-        _moments(np.arange(N_STATES), np.reshape(rating_counts, (-1, N_STATES))),
-        _moments(np.arange(1 - N_STATES, N_STATES), np.reshape(increment_counts, (-1, 2 * N_STATES - 1))),
+        np.array(dates, dtype="datetime64[D]"), np.concatenate(ratings), np.concatenate(increments)
     )
-
-
-def _level_counts(panel: Panel, days: list[int], tau: int) -> tuple[list, list]:
-    """Rating and increment level counts on each of ``days``; the pass's block is freed on return."""
-    # Every lag before the span start reads as unrated, so -1 stands for them all.
-    block, (now_at, then_at) = panel.cross_sections(days, [max(d - tau, -1) for d in days])
-    ratings, increments = [], []
-    for i, j in zip(now_at, then_at):
-        now, then = block[i], block[j]  # row by row: block[now_at] would copy the block
-        ratings.append(np.bincount(now[now >= 0], minlength=N_STATES))
-        both = (now >= 0) & (then >= 0)  # increments need both ends rated
-        increment = (now - then + (N_STATES - 1))[both]  # -14..14 as 0..28
-        increments.append(np.bincount(increment, minlength=2 * N_STATES - 1))
-    return ratings, increments
 
 
 def write_moment_series_csv(series: MomentSeries, target: Target) -> None:

@@ -14,7 +14,7 @@ Two statistics per analysis window:
 
 A window is two day offsets into the panel's span; its half-window
 midpoint and its length in years are taken from them.  A rolling
-series takes the change counts, exposures and cross-sections of its
+series takes the change counts, exposures and state-pair counts of its
 windows a pass of :meth:`Panel.month_passes` at a time, and each
 pass's windows go through the 15x15 algebra as one stack.  Series are
 written with :func:`textio.write_csv`.
@@ -38,7 +38,7 @@ from .estimation import (
     matrix_exponential,
     transitions_through,
 )
-from .panel import Panel
+from .panel import Panel, pair_counts
 from .scale import N_STATES
 from .textio import Target, format_float, write_csv
 
@@ -160,9 +160,9 @@ def _windows(panel: Panel, statistic: str, grid: np.ndarray, lag: int):
     through = transitions_through(panel, grid)
     counts = CountMatrix(counts=through[lag:] - through[:-lag])
     if statistic == "ck_l2":
-        states, (at, mid_at) = panel.cross_sections(grid, (a + b) // 2)
-        s0, sm, sf = states[at[:-lag]], states[mid_at], states[at[lag:]]
-        full, first, second = cohort_matrix(s0, sf), cohort_matrix(s0, sm), cohort_matrix(sm, sf)
+        states, at, mid_at = panel.cross_sections(grid, (a + b) // 2)
+        ends = ((at[:-lag], at[lag:]), (at[:-lag], mid_at), (mid_at, at[lag:]))
+        full, first, second = (cohort_matrix(pair_counts(states, *rows)) for rows in ends)
         values = l2_norm(full.entries - first.entries @ second.entries)
     else:
         keep = counts.total > 0
@@ -170,8 +170,8 @@ def _windows(panel: Panel, statistic: str, grid: np.ndarray, lag: int):
         before = bank_days_before(panel, grid)
         exposure = exposure_vector((before[lag:] - before[:-lag])[keep])
         m = matrix_exponential(estimate_generator(counts, exposure), (b - a) / DAYS_PER_YEAR)
-        states = panel.states_at_many(grid)
-        m_e = cohort_matrix(states[:-lag][keep], states[lag:][keep])
+        rows = np.flatnonzero(keep)
+        m_e = cohort_matrix(pair_counts(panel.states_at_many(grid), rows, rows + lag))
         values = homogeneity_statistic(m, m_e, counts)
     origin = np.datetime64(panel.span[0], "D")
     return origin + a, origin + b, values, counts.total

@@ -6,7 +6,7 @@ in bank-years; the diagonal is fixed by zero row sums.  The matching
 probability matrix over the window is the exponential of the estimated
 generator scaled by the window length in years, summed from nonnegative
 terms (uniformization) so that small probabilities keep their digits.
-The cohort estimator is the model-free alternative from start/end pairs.
+The model-free cohort estimator row-normalises a :func:`pair_counts` table.
 
 A window is two day offsets into the panel's span, taken once from its
 dates by :meth:`Panel.window_days`; the matrices carry no window of
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dates import DAYS_PER_YEAR
-from .panel import Panel
+from .panel import Panel, pair_counts
 from .scale import N_STATES
 
 __all__ = [
@@ -276,22 +276,15 @@ def empirical_transition_matrix(panel: Panel, t0: dt.date, tf: dt.date) -> Trans
     ``tf``, the fraction ending in each state.  Rows with an empty
     cohort are identity rows, keeping the matrix stochastic.
     """
-    start, end = panel.states_at_many(panel.window_days(t0, tf))
-    return cohort_matrix(start, end)
+    return cohort_matrix(pair_counts(panel.states_at_many(panel.window_days(t0, tf)), [0], [1])[0])
 
 
-def cohort_matrix(start: np.ndarray, end: np.ndarray) -> TransitionMatrix:
-    """Cohort matrices from the cross-sections on each window's two ends (-1: unrated).
+def cohort_matrix(pairs: np.ndarray) -> TransitionMatrix:
+    """Cohort matrices: the rated corners of :func:`pair_counts` tables, row-normalised.
 
-    ``start`` and ``end`` are ``(..., n_banks)``; the pairs are counted
-    one window at a time, which keeps the temporaries to one row's size.
+    ``pairs`` is ``(..., 16, 16)``; rows with an empty cohort are identity rows.
     """
-    counts = np.empty(start.shape[:-1] + (N_STATES, N_STATES), dtype=np.int64)
-    for w in np.ndindex(start.shape[:-1]):
-        both = (start[w] >= 0) & (end[w] >= 0)
-        # Widen before scaling: int8 cross-sections would wrap at 14 * 15.
-        pair = start[w][both].astype(np.int64) * N_STATES + end[w][both]
-        counts[w] = np.bincount(pair, minlength=N_STATES * N_STATES).reshape(N_STATES, N_STATES)
+    counts = pairs[..., 1:, 1:]
     totals = counts.sum(axis=-1, keepdims=True)
     m = np.broadcast_to(np.eye(N_STATES), counts.shape).copy()
     np.divide(counts, totals, out=m, where=totals > 0)

@@ -12,7 +12,8 @@ derived from them is cached.  :meth:`Panel.states_at_many` is the one
 cross-section query: it takes the cross-sections of many days in one
 pass.  Both rolling series, the tests and the moments, walk the month
 grid of :meth:`Panel.month_passes` and take each pass's cross-sections
-with :meth:`Panel.cross_sections`.
+with :meth:`Panel.cross_sections`, and only :func:`pair_counts` reads
+that block: cohort matrices and moments are reductions of its tables.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ import numpy as np
 
 from .dates import month_starts
 from .errors import SpanError
+from .scale import N_STATES
 
 __all__ = ["Panel"]
 
 #: Month starts per pass of a rolling series (ten years).  A pass holds
-#: running counts (1.8 kB a month) and cross-sections (up to two bytes a
-#: bank a month), so a long series' memory stays bounded: on a
+#: running counts and pair tables (about 2 kB a month each) and cross-sections
+#: (up to two bytes a bank a month), so a long series' memory stays bounded: on a
 #: 2,500-bank, 24-year panel one pass for all 288 windows raised the
 #: peak resident memory by 1.5 MB, passes of 120 windows by 0.5 MB.
 MONTHS_PER_PASS = 120
@@ -131,10 +133,10 @@ class Panel:
             dates = starts[lo : lo + MONTHS_PER_PASS + look_ahead]
             yield dates, [self.day_offset(t) for t in dates]
 
-    def cross_sections(self, *day_lists) -> tuple[np.ndarray, list[list[int]]]:
-        """A :meth:`states_at_many` block of every list's days, and each list's rows in it."""
+    def cross_sections(self, *day_lists) -> tuple:
+        """A :meth:`states_at_many` block of every list's days, then each list's rows in it."""
         days = np.unique(np.concatenate([np.asarray(d, dtype=np.int64) for d in day_lists]))
-        return self.states_at_many(days), [np.searchsorted(days, d).tolist() for d in day_lists]
+        return self.states_at_many(days), *(np.searchsorted(days, d).tolist() for d in day_lists)
 
     def states_at_many(self, days) -> np.ndarray:
         """Cross-sections on many days, as an int8 block of shape (len(days), n_banks).
@@ -167,3 +169,17 @@ class Panel:
         # Every partial sum is a state or -1, so int8 holds it exactly.
         np.cumsum(delta, axis=0, out=delta)
         return delta[:-1]
+
+
+def pair_counts(block: np.ndarray, first_rows, second_rows) -> np.ndarray:
+    """State-pair counts of row pairs of a cross-section block, shape (pairs, 16, 16).
+
+    ``[w, i + 1, j + 1]`` counts the banks in state ``i`` on row ``first_rows[w]`` and in
+    state ``j`` on row ``second_rows[w]``, index 0 being unrated.  Rows are read in place.
+    """
+    levels = N_STATES + 1
+    counts = np.empty((len(first_rows), levels, levels), dtype=np.int64)
+    for w, (i, j) in enumerate(zip(first_rows, second_rows)):
+        pair = levels * block[i].astype(np.int16) + block[j] + (levels + 1)  # int8 would wrap
+        counts[w] = np.bincount(pair, minlength=levels * levels).reshape(levels, levels)
+    return counts

@@ -520,5 +520,5 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
         )
     except DataFormatError:
         raise
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise DataFormatError(f"invalid scenario: {exc}") from exc

@@ -336,6 +336,27 @@ def test_moment_series_holds_one_pass_block_at_a_time():
     assert series_peak < 1.25 * max(pass_peaks)
 
 
+def test_moment_series_memory_grows_only_with_its_output():
+    # Over 400 years of the 60-bank golden panel against 100, the peak may
+    # grow by the longer series itself and its month grid, about 110 bytes
+    # a month, but not by a per-month record of counts.
+    golden = Path(__file__).parent / "data" / "golden_panel.csv"
+    rl.moment_series(rl.parse_panel(golden, (None, None)))  # first-call allocations
+    peaks, sizes = [], []
+    for years in (100, 400):
+        panel = rl.parse_panel(golden, (D(2006, 1, 1), D(2005 + years, 12, 31)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            series = rl.moment_series(panel)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        sizes.append(series.date.nbytes + series.ratings.nbytes + series.increments.nbytes)
+    assert len(series.date) == 4800
+    assert peaks[1] - peaks[0] < 3 * (sizes[1] - sizes[0])
+
+
 @pytest.mark.parametrize("tau", [30, 365])
 def test_golden_panel_rows_are_moments_of_each_month(tau):
     # 60 banks: samples over many levels, not only the few of a generated panel

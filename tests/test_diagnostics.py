@@ -356,8 +356,8 @@ def test_rolling_series_windows_match_oracles(panel, window, per_pass):
         fits.append((counts.counts, exposure.exposure))
         return fit(counts, exposure)
 
-    def spy_cohort(start, end):
-        m = cohort(start, end)
+    def spy_cohort(pairs):
+        m = cohort(pairs)
         cohorts.append(m.entries)
         return m
 

@@ -310,12 +310,31 @@ def test_cross_sections_rows_match_each_list(specs, data):
     day = st.integers(-400, 3000) | st.sampled_from(_edge_days(specs) or [0])
     lists = data.draw(st.lists(st.lists(day, max_size=8), min_size=1, max_size=3))
     panel = make_panel(SPAN, specs)
-    block, rows = panel.cross_sections(*lists)
+    block, *rows = panel.cross_sections(*lists)
     assert block.shape[0] == len(set().union(*lists))
     assert [len(r) for r in rows] == [len(days) for days in lists]
     for days, at in zip(lists, rows):
         for off, r in zip(days, at):
             assert np.array_equal(block[r], cross_section(panel, SPAN[0] + dt.timedelta(days=off))[0])
+
+
+@given(st.data())
+def test_pair_counts_match_brute_force(data):
+    # int8 blocks of states and -1 (unrated), row pairs repeated and in any
+    # order, and empty row lists
+    n_rows, n_banks = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 30))
+    cells = data.draw(st.lists(st.integers(-1, 14), min_size=n_rows * n_banks, max_size=n_rows * n_banks))
+    block = np.array(cells, dtype=np.int8).reshape(n_rows, n_banks)
+    row = st.integers(0, n_rows - 1)
+    pairs = data.draw(st.lists(st.tuples(row, row), max_size=6))
+    first, second = [i for i, _ in pairs], [j for _, j in pairs]
+    got = panel_module.pair_counts(block, first, second)
+    want = np.zeros((len(pairs), 16, 16), dtype=np.int64)
+    for w, (i, j) in enumerate(pairs):
+        for k in range(n_banks):
+            want[w, block[i, k] + 1, block[j, k] + 1] += 1
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("per_pass", [1, 5, 120])
