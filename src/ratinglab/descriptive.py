@@ -36,8 +36,11 @@ __all__ = [
 DEGENERATE_VARIANCE = 1e-12
 
 _LEVELS, _INCREMENTS = np.arange(N_STATES), np.arange(1 - N_STATES, N_STATES)
-#: ``[15 i + j, k]`` is 1 where ``j - i == _INCREMENTS[k]``: flat rated pairs to increments.
-_PAIR_INCREMENT = (np.add.outer(-_LEVELS, _LEVELS).reshape(-1, 1) == _INCREMENTS).astype(np.int64)
+#: ``[16 (i + 1) + j + 1, k]`` is 1 where ``j - i == _INCREMENTS[k]``: a flat
+#: :func:`pair_counts` table to increments, its unrated row and column to none.
+_PAIR_INCREMENT = np.pad(
+    np.add.outer(-_LEVELS, _LEVELS)[..., None] == _INCREMENTS, ((1, 0), (1, 0), (0, 0))
+).reshape(-1, _INCREMENTS.size).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,7 @@ def moment_series(panel: Panel, tau: int = 365) -> MomentSeries:
         pairs = pair_counts(*panel.cross_sections([max(d - tau, -1) for d in days], days))
         dates += month_dates
         ratings.append(_moments(_LEVELS, pairs[:, :, 1:].sum(axis=1)))
-        increments.append(_moments(_INCREMENTS, pairs[:, 1:, 1:].reshape(-1, N_STATES**2) @ _PAIR_INCREMENT))
+        increments.append(_moments(_INCREMENTS, pairs.reshape(len(pairs), -1) @ _PAIR_INCREMENT))
     return MomentSeries(
         np.array(dates, dtype="datetime64[D]"), np.concatenate(ratings), np.concatenate(increments)
     )

@@ -7,12 +7,17 @@ appear in any order.  Re-affirmations (consecutive rows repeating a
 bank's current state) are collapsed so that "transition" always means a
 state change.
 
-A source, a path or a text stream, is read once: one ``csv.reader``
-loop interns every field as an integer code, numbered per column in
-order of first appearance.  Dates are parsed once per distinct text, a
-missing end of the span is taken from those distinct dates, and the
-checks and the collapse into the panel's arrays are vectorised.  Each
-check names the row a row-by-row reader would.
+A source, a path or a text stream, is read once, and its text is
+split into records as ``csv.reader`` splits a file opened with
+``newline=""``.  A byte scan finds the records' line ends and commas
+with numpy in the text's UTF-8 bytes and interns every field as an
+integer code, numbered per column in order of first appearance.  A text
+it could misread (one with a quote, a NUL, a CR not before an LF or a
+line over the csv module's field size limit) is read by a
+``csv.reader`` loop that interns the same codes.  Dates are parsed once
+per distinct text, a missing end of the span is taken from those
+distinct dates, and the checks and the collapse into the panel's arrays
+are vectorised.  Each check names the row a row-by-row reader would.
 
 The daily count series are read off the panel's arrays: the rated
 banks on each day are a running sum of coverage starts less ends.
@@ -23,7 +28,9 @@ from __future__ import annotations
 import bisect
 import csv
 import datetime as dt
+import io
 import itertools
+import re
 from collections import defaultdict
 from typing import Optional
 
@@ -52,6 +59,13 @@ TRAILING_DAYS = 365
 _LABEL_CODE = {label: state for state, label in enumerate(RATING_LABELS)}
 _LABEL_CODE[WITHDRAWN_LABEL] = WITHDRAWN = N_STATES
 
+#: Distinct date texts joined by commas, when every one is ``YYYY-MM-DD``.
+_ISO_DATES = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}(?:,[0-9]{4}-[0-9]{2}-[0-9]{2})*")
+
+#: ``_FIRST_BYTES[k]`` keeps the first ``k`` bytes of a little-endian 8-byte word.
+_FIRST_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # folds a long field's further words into its key
+
 
 def parse_panel(source: Target, span: tuple[Optional[dt.date], Optional[dt.date]]) -> Panel:
     """Parse an event CSV, a path or a text stream, into a validated, immutable panel.
@@ -79,37 +93,15 @@ def parse_panel(source: Target, span: tuple[Optional[dt.date], Optional[dt.date]
     if start is not None and end is not None and end < start:
         raise SpanError(start, end)
 
-    # One csv.reader loop interns every field as an integer code, each
-    # column numbering its texts in order of first appearance.  It stops
-    # at the first row without three fields or that the csv module
-    # rejects: that row's error comes after the earlier rows' checks and
-    # wins over every later row's.
-    banks, dates, labels = (defaultdict(itertools.count().__next__) for _ in range(3))
-    bank_col, date_col, label_col = [], [], []
-    blanks: list[int] = []  # data rows read before each blank line
-    stop: Optional[tuple[int, str]] = None  # (row, message) of the row that stops the read
-    header = None
-    with text_stream(source) as stream:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader, None)  # None: not even a header line
-            if header is not None and tuple(h.strip() for h in header) != HEADER:
-                raise DataFormatError(
-                    f"expected header {','.join(HEADER)!r}, got {','.join(header)!r}", row=1
-                )
-            for record in reader:
-                if len(record) == 3:
-                    b, d, lab = record
-                    bank_col.append(banks[b])
-                    date_col.append(dates[d])
-                    label_col.append(labels[lab])
-                elif record:
-                    stop = (2 + len(bank_col) + len(blanks), f"expected 3 fields, got {len(record)}")
-                    break
-                else:
-                    blanks.append(len(bank_col))
-        except csv.Error as exc:  # the header is row 1
-            stop = (1 if header is None else 2 + len(bank_col) + len(blanks), str(exc))
+    # The byte scan, or the csv module where the scan could misread,
+    # interns each column's fields in order of first appearance.  The
+    # read stops at the first row without three fields or that the csv
+    # module rejects: that row's error comes after the earlier rows'
+    # checks and wins over every later row's.
+    header, columns, blanks, stop = _read(source)
+    if header is not None and tuple(h.strip() for h in header) != HEADER:
+        raise DataFormatError(f"expected header {','.join(HEADER)!r}, got {','.join(header)!r}", row=1)
+    (bank_texts, bank_col), (date_texts, date_code), (label_texts, label_code) = columns
 
     def row(i) -> int:
         """CSV row number (header = 1) of data record ``i``."""
@@ -117,24 +109,29 @@ def parse_panel(source: Target, span: tuple[Optional[dt.date], Optional[dt.date]
 
     # Raw bank texts that strip to the same id share the id's code,
     # numbered in order of first appearance.
-    ids: dict[str, int] = {}
-    canonical = np.array([ids.setdefault(b.strip(), len(ids)) for b in banks], dtype=np.int64)
+    stripped = list(map(str.strip, bank_texts))
+    ids = dict(zip(dict.fromkeys(stripped), itertools.count()))
+    canonical = np.fromiter(map(ids.__getitem__, stripped), dtype=np.int64, count=len(stripped))
     bank_ids = list(ids)
-    bank = canonical[np.array(bank_col, dtype=np.int64)]
-    date_texts = [d.strip() for d in dates]
-    date_code = np.array(date_col, dtype=np.int64)
-    label_texts = [lab.strip() for lab in labels]
-    label_code = np.array(label_col, dtype=np.int64)
-    del banks, dates, labels, bank_col, date_col, label_col, ids  # not held through the sort
+    bank = canonical[bank_col]
+    date_texts = list(map(str.strip, date_texts))
+    label_texts = list(map(str.strip, label_texts))
+    del columns, bank_texts, bank_col, stripped, ids  # not held through the sort
 
-    # Dates are parsed once per distinct text; 0 marks an invalid one
+    # Dates are parsed once per distinct text, all at once when every
+    # one is a ``YYYY-MM-DD`` calendar date; 0 marks an invalid one
     # (ordinals of real dates start at 1).
-    ordinals = []
-    for text in date_texts:
-        try:
-            ordinals.append(parse_iso_date(text).toordinal())
-        except ValueError:
-            ordinals.append(0)
+    try:
+        if not _ISO_DATES.fullmatch(",".join(date_texts)):
+            raise ValueError
+        ordinals = list(map(dt.date.toordinal, map(dt.date.fromisoformat, date_texts)))
+    except ValueError:
+        ordinals = []
+        for text in date_texts:
+            try:
+                ordinals.append(parse_iso_date(text).toordinal())
+            except ValueError:
+                ordinals.append(0)
     ordinals = np.array(ordinals, dtype=np.int64)
 
     # A missing end is the earliest or latest valid date.  Without a
@@ -188,9 +185,9 @@ def parse_panel(source: Target, span: tuple[Optional[dt.date], Optional[dt.date]
     ids = sorted(range(n_banks), key=bank_ids.__getitem__)  # codes in id order
     rank = np.empty(n_banks, dtype=np.int64)
     rank[ids] = np.arange(n_banks)  # each code's place in that order
-    ids = [bank_ids[k] for k in ids]  # the ids in order; the codes' ints are freed
+    ids = list(map(bank_ids.__getitem__, ids))  # the ids in order; the codes' ints are freed
     day = ordinal - lo
-    order = np.lexsort((day, rank[bank]))
+    order = np.argsort(rank[bank] * (hi - lo + 1) + day, kind="stable")
     bank, day, state = bank[order], day[order], state[order]
     first = np.ones(order.size, dtype=bool)
     first[1:] = bank[1:] != bank[:-1]
@@ -242,6 +239,125 @@ def parse_panel(source: Target, span: tuple[Optional[dt.date], Optional[dt.date]
         coverage_end,
         (start, end),
     )
+
+
+def _read(source: Target):
+    """The records of ``source`` as :func:`_read_records` gives them, by the byte scan where it can."""
+    with text_stream(source) as stream:
+        text = stream.read()
+    if not isinstance(text, str):  # a byte stream, which the csv module rejects on row 1
+        return _read_records(io.BytesIO(text))
+    data = text.encode("utf-8", "surrogatepass") + bytes(8)  # each field decodes back to its text
+    del text  # not held through the scan
+    return _scan(data) or _read_records(
+        io.StringIO(data[:-8].decode("utf-8", "surrogatepass"), newline="")
+    )
+
+
+def _read_records(lines):
+    """A ``csv.reader`` loop over ``lines``: the header, three columns, the blanks and the stop.
+
+    A column is its distinct texts in order of first appearance and each
+    record's index into them; a blank is the records read before a blank
+    line; the stop is the ``(row, message)`` of the record that ended the read.
+    """
+    banks, dates, labels = (defaultdict(itertools.count().__next__) for _ in range(3))
+    bank_col, date_col, label_col = [], [], []
+    blanks: list[int] = []
+    stop: Optional[tuple[int, str]] = None
+    header = None
+    reader = csv.reader(lines)
+    try:
+        header = next(reader, None)  # None: not even a header line
+        for record in reader:
+            if len(record) == 3:
+                b, d, lab = record
+                bank_col.append(banks[b])
+                date_col.append(dates[d])
+                label_col.append(labels[lab])
+            elif record:
+                stop = (2 + len(bank_col) + len(blanks), f"expected 3 fields, got {len(record)}")
+                break
+            else:
+                blanks.append(len(bank_col))
+    except csv.Error as exc:  # the header is row 1
+        stop = (1 if header is None else 2 + len(bank_col) + len(blanks), str(exc))
+    columns = zip((banks, dates, labels), (bank_col, date_col, label_col))
+    return header, [(list(texts), np.array(col, dtype=np.int64)) for texts, col in columns], blanks, stop
+
+
+def _scan(data: bytes):
+    """:func:`_read_records` of the text whose UTF-8 bytes, then 8 zeros, are ``data``.
+
+    ``None`` where the csv module might read the text otherwise: with a
+    quote, a NUL, a CR not before an LF or a line over its field size limit.
+    """
+    size, buf = len(data) - 8, np.frombuffer(data, dtype=np.uint8)
+    if b'"' in data or data.find(b"\0", 0, size) >= 0 or (buf[np.flatnonzero(buf == 13) + 1] != 10).any():
+        return None
+    # Commas and line ends (each LF, and the end of a last line without one), in order.
+    sep = np.flatnonzero((buf == 44) | (buf == 10)).astype(np.int32 if size < 2**31 else np.int64)
+    if size and buf[size - 1] != 10:
+        sep = np.append(sep, np.array(size, dtype=sep.dtype))
+    nl = np.flatnonzero(buf[sep] != 44)  # each line's end in ``sep``
+    crlf = buf[sep[nl] - 1] == 13  # an empty first line reads a zero of the padding
+    length = np.diff(sep[nl], prepend=-1) - 1 - crlf  # bytes before the LF or CRLF
+    if length.max(initial=0) > csv.field_size_limit():
+        return None
+    fields = np.where(length > 0, np.diff(nl, prepend=-1), 0)  # commas + 1
+    header = None
+    if nl.size:  # an empty first line has no fields
+        header = buf[: length[0]].tobytes().decode("utf-8", "surrogatepass").split(",")[: fields[0]]
+    fields = fields[1:]
+    odd = np.flatnonzero((fields != 0) & (fields != 3))
+    stop = (int(odd[0]) + 2, f"expected 3 fields, got {fields[odd[0]]}") if odd.size else None
+    blank = fields[: odd[0] if odd.size else fields.size] == 0
+    blanks = np.cumsum(~blank)[blank].tolist()
+    line = 1 + np.flatnonzero(~blank)
+    # Each record's previous line end, two commas and line end: its fields lie between.
+    edge = sep[nl[line, None] + np.arange(-3, 1)]
+    edge[:, 3] -= crlf[line]
+    del sep, nl, crlf, length, fields, blank, line
+    columns = [_intern(buf, edge[:, i] + 1, edge[:, i + 1]) for i in range(3)]
+    return None if None in columns else (header, columns, blanks, stop)
+
+
+def _intern(buf: np.ndarray, s: np.ndarray, e: np.ndarray):
+    """The fields ``buf[s:e]`` as ``(texts, codes)``, numbered in order of first appearance.
+
+    A key folds in a field's 8-byte words, so fields of up to 8 bytes share one only if
+    equal; longer ones sharing a key are compared word by word (``None`` if two differ).
+    """
+    words = np.ndarray(buf.size - 7, dtype="<u8", buffer=buf, strides=(1,))  # the word at each byte
+    n = e - s
+    longest = int(n.max(initial=0))
+    key = np.zeros(n.size, dtype=np.uint64)
+    for k in range(0, longest, 8):
+        key = key * _MIX + (words[s + np.minimum(n, k)] & _FIRST_BYTES[np.clip(n - k, 0, 8)])
+    _, inverse = np.unique(key, return_inverse=True)
+    first = np.full(inverse.max(initial=-1) + 1, n.size)
+    np.minimum.at(first, inverse, np.arange(n.size))  # each key's first field
+    same = first[inverse]
+    if (n[same] != n).any():
+        return None
+    at = np.flatnonzero(n > 8)
+    for k in range(0, longest, 8):
+        at = at[n[at] > k]
+        if ((words[s[at] + k] ^ words[s[same[at]] + k]) & _FIRST_BYTES[np.minimum(n[at] - k, 8)]).any():
+            return None
+    del key, same
+    firsts = np.sort(first)
+    codes = np.searchsorted(firsts, first)[inverse]
+    # The distinct fields, each with the byte after it made an LF, decoded at once:
+    # their places are a running sum of steps, 1 but from one field to the next.
+    s, e = s[firsts], e[firsts]
+    step = e - s + 1
+    end = np.cumsum(step)
+    at = np.ones(end[-1] if end.size else 0, dtype=s.dtype)
+    at[end - step] = s - np.append(0, e[:-1])
+    chunk = buf[np.cumsum(at, out=at)]
+    chunk[end - 1] = 10
+    return chunk.tobytes().decode("utf-8", "surrogatepass").split("\n")[:-1], codes
 
 
 def write_panel_csv(panel: Panel, target: Target) -> None:

@@ -3,6 +3,7 @@ import csv
 import datetime as dt
 import io
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 import ratinglab as rl
-from ratinglab import DataFormatError
+from ratinglab import DataFormatError, ingest
 
 from conftest import cross_section, make_panel, raw_histories, series_rows
 
@@ -338,6 +339,82 @@ def test_parse_rejects_byte_stream():
     assert not stream.closed  # the caller's stream is left open
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"bank_id,date,rating\nb1,2007-01-01,A\nb1,2007-02-01,B\n",
+        b"bank_id,date,rating\r\nb1,2007-01-01,A\r\nb1,2007-02-01,B\r\n",
+        b"\xef\xbb\xbfbank_id,date,rating\nb1,2007-01-01,A\nb1,2007-02-01,B\n",
+        b"bank_id,date,rating\rb1,2007-01-01,A\rb1,2007-02-01,B",
+    ],
+    ids=["LF", "CRLF", "BOM", "lone-CR"],
+)
+def test_text_stream_reads_like_the_same_characters_in_a_file(tmp_path, raw):
+    path = tmp_path / "panel.csv"
+    path.write_bytes(raw)
+    panel = rl.parse_panel(path, SPAN)
+    assert panel.event_state.tolist() == [13, 10]
+    # the characters a file's reader yields: a leading byte order mark is skipped
+    assert rl.parse_panel(io.StringIO(raw.decode("utf-8-sig")), SPAN) == panel
+
+
+def test_written_panel_is_read_without_the_csv_module(tmp_path, monkeypatch):
+    # ids of 6 to 25 bytes, every third bank withdrawn
+    day = [SPAN[0] + dt.timedelta(days=d) for d in range(1300)]
+    specs = [
+        (f"bank {k:0{k % 20 + 1}d}", [(day[40 * k], k % 15), (day[40 * k + 9], (k + 9) % 15)],
+         day[40 * k + 20] if k % 3 == 0 else None)
+        for k in range(30)
+    ]
+    panel = make_panel(SPAN, specs)
+    path = tmp_path / "panel.csv"
+    rl.write_panel_csv(panel, path)
+    assert b"WR\r\n" in path.read_bytes()  # CRLF line ends and withdrawals
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the csv module read a panel that write_panel_csv wrote")
+
+    monkeypatch.setattr(ingest.csv, "reader", refuse)
+    assert rl.parse_panel(path, panel.span) == panel
+    text = path.read_text(encoding="utf-8")
+    assert rl.parse_panel(io.StringIO(text), (None, None)).bank_ids == panel.bank_ids
+
+
+@pytest.mark.parametrize("mix", [0, 1])
+def test_fields_sharing_a_key_are_told_apart(monkeypatch, mix):
+    # With a multiplier of 0 a long field's key is its last word, and with 1
+    # the sum of its words, so these ids share keys ("!xxxxxxx!" has the key
+    # of "Bxxxxxxx" under 1: 0x21 + 0x21 = 0x42); the length and byte checks
+    # must still tell them apart.
+    ids = ["a-0001-suffix-id", "b-0001-suffix-id", "!xxxxxxx!", "Bxxxxxxx", "x" * 9, "y" * 9]
+    text = H + "".join(f"{b},2007-0{k + 1}-01,{'AB'[k % 2]}\n" for k, b in enumerate(ids))
+    want = parse(text)
+    assert want.bank_ids == tuple(sorted(ids))
+    monkeypatch.setattr(ingest, "_MIX", np.uint64(mix))
+    assert parse(text) == want
+
+
+def test_parse_memory_is_a_small_multiple_of_the_file(tmp_path):
+    # Reading, interning and collapsing a simulated panel of over 20,000
+    # rows holds at most ten times the file's bytes at once (the csv.reader
+    # loop that the byte scan replaced held six to seven times).
+    scenario = rl.scenario_from_mapping({
+        "kind": "excited", "n_banks": "3000", "start": "1990-01-01", "end": "2014-01-01",
+        "seed": "1", "rate_scale": "0.25", "gamma": "5", "memory_days": "90",
+    })
+    path = tmp_path / "panel.csv"
+    rl.write_panel_csv(rl.simulate(scenario), path)
+    assert path.read_bytes().count(b"\n") > 20_000
+    rl.parse_panel(path, (None, None))  # first-call allocations (imports) happen here
+    tracemalloc.start()
+    try:
+        rl.parse_panel(path, (None, None))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * path.stat().st_size
+
+
 def test_parse_row_shuffle_property():
     rng = random.Random(5)
     rows = []
@@ -361,7 +438,8 @@ ODD_DATES = (
 )
 VALID_LABELS = ("B", "B+", "C", "A-", "WR")
 ODD_LABELS = ("Z+", "", "wr", "b", "B\udce9", "\ud800")
-BANKS = ("b1", "b2", "b3")
+# ids over 8 and 16 bytes, sharing their first and last 8 bytes
+BANKS = ("b1", "b2", "b3", "issuer-0001-ltd", "issuer-0002-0001-ltd")
 ODD_BANKS = ("b\udce9",)
 
 
@@ -430,7 +508,8 @@ def event_csv(draw):
     if header is None:
         return ""
     rows = draw(st.one_of(valid_panel_rows(), messy_rows()))
-    return "\n".join([header] + rows) + draw(st.sampled_from(["\n", "", "\n\n"]))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))  # CRLF is what write_panel_csv writes
+    return end.join([header] + rows) + draw(st.sampled_from([end, "", end + end]))
 
 
 span_ends = st.tuples(
@@ -517,6 +596,18 @@ def test_parse_panel_matches_row_by_row_oracle(text, ends):
     assert panel.event_day.tolist() == [(d - start).days for _, e, _ in events for d, _ in e]
     assert panel.event_state.tolist() == [s for _, e, _ in events for _, s in e]
     assert panel.coverage_end.tolist() == [(c - start).days for _, _, c in events]
+
+
+@settings(max_examples=300)
+@given(event_csv())
+def test_byte_scan_reads_what_the_csv_module_reads(text):
+    scanned = ingest._scan(text.encode("utf-8", "surrogatepass") + bytes(8))
+    if scanned is None:  # a quote, a lone CR or an over-long line: the csv module reads it
+        assert '"' in text or BIG in text or "\r" in text.replace("\r\n", "")
+        return
+    header, columns, blanks, stop = ingest._read_records(io.StringIO(text, newline=""))
+    assert (scanned[0], scanned[2], scanned[3]) == (header, blanks, stop)
+    assert [(t, c.tolist()) for t, c in scanned[1]] == [(t, c.tolist()) for t, c in columns]
 
 
 @settings(max_examples=200)
