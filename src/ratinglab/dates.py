@@ -1,4 +1,4 @@
-"""Calendar helpers: ISO parsing and month grids.
+"""Calendar helpers: ISO date parsing and the day-count year.
 
 Analysis windows are anchored to calendar dates and handled as day
 offsets into a panel's span; durations are kept in whole days and
@@ -30,16 +30,3 @@ def parse_iso_date(text: str) -> dt.date:
         return dt.date(int(match[1]), int(match[2]), int(match[3]))
     except ValueError:
         raise ValueError(f"invalid ISO date {text!r}") from None
-
-
-def month_starts(start: dt.date, end: dt.date) -> list[dt.date]:
-    """All first-of-month dates within ``[start, end]``, ascending.
-
-    Months are counted as ``12 * year + month - 1``, so the grid stops
-    at the span's last month start, 9999-12-01 at the latest, without
-    forming a date past it.
-    """
-    first = 12 * start.year + start.month - 1 + (start.day > 1)
-    last = 12 * end.year + end.month - 1
-    return [dt.date(k // 12, k % 12 + 1, 1) for k in range(first, last + 1)]
-

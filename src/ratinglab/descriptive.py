@@ -6,9 +6,9 @@ kurtosis are undefined when the variance is degenerate.
 
 One formula takes every moment from the counts of a sample's distinct
 values, for one sample or a stack.  A rolling series takes, on each
-month start, a :func:`pair_counts` table of (lagged, current) states and
-counts ratings and increments as its rated columns and diagonals; a lag
-before the span start (even before the year 1) is unrated.
+month start, a :meth:`Panel.pair_counts` table of (lagged, current) states
+and counts ratings and increments as its rated columns and diagonals; a
+lag before the span start (even before the year 1) is unrated.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .panel import Panel, pair_counts
+from .panel import Panel
 from .scale import N_STATES
 from .textio import Target, format_float, write_csv
 
@@ -37,7 +37,7 @@ DEGENERATE_VARIANCE = 1e-12
 
 _LEVELS, _INCREMENTS = np.arange(N_STATES), np.arange(1 - N_STATES, N_STATES)
 #: ``[16 (i + 1) + j + 1, k]`` is 1 where ``j - i == _INCREMENTS[k]``: a flat
-#: :func:`pair_counts` table to increments, its unrated row and column to none.
+#: :meth:`Panel.pair_counts` table to increments, its unrated row and column to none.
 _PAIR_INCREMENT = np.pad(
     np.add.outer(-_LEVELS, _LEVELS)[..., None] == _INCREMENTS, ((1, 0), (1, 0), (0, 0))
 ).reshape(-1, _INCREMENTS.size).astype(np.int64)
@@ -111,17 +111,17 @@ def moment_series(panel: Panel, tau: int = 365) -> MomentSeries:
     tau = operator.index(tau)  # a float would shift every lag
     if tau < 1:
         raise ValueError(f"tau must be >= 1 day, got {tau}")
-    dates, ratings, increments = [], [np.empty((0, 4))], [np.empty((0, 4))]
+    # Every lag before the span start reads as unrated, so -1 stands for them all;
+    # a lag is at most the span's length, since tau may be past the int64 range.
+    lag = min(tau, panel.n_days)
+    none = np.empty((0, 4))
+    dates, ratings, increments = [np.empty(0, "datetime64[D]")], [none], [none]
     for month_dates, days in panel.month_passes():
-        # Every lag before the span start reads as unrated, so -1 stands for them all;
-        # Python ints, since tau may be past the int64 range.
-        pairs = pair_counts(*panel.cross_sections([max(d - tau, -1) for d in days], days))
-        dates += month_dates
+        pairs = panel.pair_counts(np.maximum(days - lag, -1), days)
+        dates.append(month_dates)
         ratings.append(_moments(_LEVELS, pairs[:, :, 1:].sum(axis=1)))
         increments.append(_moments(_INCREMENTS, pairs.reshape(len(pairs), -1) @ _PAIR_INCREMENT))
-    return MomentSeries(
-        np.array(dates, dtype="datetime64[D]"), np.concatenate(ratings), np.concatenate(increments)
-    )
+    return MomentSeries(*map(np.concatenate, (dates, ratings, increments)))
 
 
 def write_moment_series_csv(series: MomentSeries, target: Target) -> None:

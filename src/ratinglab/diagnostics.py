@@ -14,10 +14,11 @@ Two statistics per analysis window:
 
 A window is two day offsets into the panel's span; its half-window
 midpoint and its length in years are taken from them.  A rolling
-series takes the change counts, exposures and state-pair counts of its
-windows a pass of :meth:`Panel.month_passes` at a time, and each
-pass's windows go through the 15x15 algebra as one stack.  Series are
-written with :func:`textio.write_csv`.
+series takes the change counts, exposures and state-pair tables
+(:meth:`Panel.pair_counts`) of its windows a pass of
+:meth:`Panel.month_passes` at a time, and each pass's windows go
+through the 15x15 algebra as one stack.  Series are written with
+:func:`textio.write_csv`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .estimation import (
     matrix_exponential,
     transitions_through,
 )
-from .panel import Panel, pair_counts
+from .panel import Panel
 from .scale import N_STATES
 from .textio import Target, format_float, write_csv
 
@@ -134,18 +135,16 @@ def rolling_series(panel: Panel, statistic: str, window_length: str = "year") ->
     the Chapman-Kolmogorov deviation is computed for every window.
 
     Each pass of :meth:`Panel.month_passes` takes running change
-    counts and bank-days at its month starts, and the cross-sections on
-    them (and on the half-window midpoints) from one
-    :meth:`Panel.cross_sections`; the pass's windows are then one stack.
+    counts and bank-days at its month starts, and the state-pair tables
+    of its windows (and of their halves) from one :meth:`Panel.pair_counts`;
+    the pass's windows are then one stack.
     """
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
     if window_length not in WINDOW_MONTHS:
         raise ValueError(f"unknown window length {window_length!r}")
     months = WINDOW_MONTHS[window_length]
-    passes = [
-        _windows(panel, statistic, np.array(grid), months) for _, grid in panel.month_passes(months)
-    ]
+    passes = [_windows(panel, statistic, grid, months) for _, grid in panel.month_passes(months)]
     columns = [np.concatenate(column) for column in zip(*passes)] or [[]] * 4
     return TestSeries(statistic, window_length, *columns)
 
@@ -160,18 +159,18 @@ def _windows(panel: Panel, statistic: str, grid: np.ndarray, lag: int):
     through = transitions_through(panel, grid)
     counts = CountMatrix(counts=through[lag:] - through[:-lag])
     if statistic == "ck_l2":
-        states, at, mid_at = panel.cross_sections(grid, (a + b) // 2)
-        ends = ((at[:-lag], at[lag:]), (at[:-lag], mid_at), (mid_at, at[lag:]))
-        full, first, second = (cohort_matrix(pair_counts(states, *rows)) for rows in ends)
-        values = l2_norm(full.entries - first.entries @ second.entries)
+        mid = (a + b) // 2
+        pairs = panel.pair_counts(np.concatenate([a, a, mid]), np.concatenate([b, mid, b]))
+        full, first, second = cohort_matrix(pairs.reshape(3, len(a), *pairs.shape[1:])).entries
+        del pairs  # free the pass's tables before the algebra
+        values = l2_norm(full - first @ second)
     else:
         keep = counts.total > 0
         a, b, counts = a[keep], b[keep], CountMatrix(counts=counts.counts[keep])
         before = bank_days_before(panel, grid)
         exposure = exposure_vector((before[lag:] - before[:-lag])[keep])
         m = matrix_exponential(estimate_generator(counts, exposure), (b - a) / DAYS_PER_YEAR)
-        rows = np.flatnonzero(keep)
-        m_e = cohort_matrix(pair_counts(panel.states_at_many(grid), rows, rows + lag))
+        m_e = cohort_matrix(panel.pair_counts(a, b))
         values = homogeneity_statistic(m, m_e, counts)
     origin = np.datetime64(panel.span[0], "D")
     return origin + a, origin + b, values, counts.total

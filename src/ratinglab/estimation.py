@@ -6,7 +6,7 @@ in bank-years; the diagonal is fixed by zero row sums.  The matching
 probability matrix over the window is the exponential of the estimated
 generator scaled by the window length in years, summed from nonnegative
 terms (uniformization) so that small probabilities keep their digits.
-The model-free cohort estimator row-normalises a :func:`pair_counts` table.
+The model-free cohort estimator row-normalises a :meth:`Panel.pair_counts` table.
 
 A window is two day offsets into the panel's span, taken once from its
 dates by :meth:`Panel.window_days`; the matrices carry no window of
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dates import DAYS_PER_YEAR
-from .panel import Panel, pair_counts
+from .panel import Panel
 from .scale import N_STATES
 
 __all__ = [
@@ -276,11 +276,12 @@ def empirical_transition_matrix(panel: Panel, t0: dt.date, tf: dt.date) -> Trans
     ``tf``, the fraction ending in each state.  Rows with an empty
     cohort are identity rows, keeping the matrix stochastic.
     """
-    return cohort_matrix(pair_counts(panel.states_at_many(panel.window_days(t0, tf)), [0], [1])[0])
+    a, b = panel.window_days(t0, tf)
+    return cohort_matrix(panel.pair_counts([a], [b])[0])
 
 
 def cohort_matrix(pairs: np.ndarray) -> TransitionMatrix:
-    """Cohort matrices: the rated corners of :func:`pair_counts` tables, row-normalised.
+    """Cohort matrices: the rated corners of :meth:`Panel.pair_counts` tables, row-normalised.
 
     ``pairs`` is ``(..., 16, 16)``; rows with an empty cohort are identity rows.
     """

@@ -8,12 +8,12 @@ day ``coverage_end[k]``.  Within a bank, event days strictly increase
 and consecutive states differ.  A bank's rating on day ``t`` is the
 state of its most recent event on or before ``t``; outside its coverage
 it is unrated.  Every query is a pass over these arrays; nothing
-derived from them is cached.  :meth:`Panel.states_at_many` is the one
-cross-section query: it takes the cross-sections of many days in one
-pass.  Both rolling series, the tests and the moments, walk the month
-grid of :meth:`Panel.month_passes` and take each pass's cross-sections
-with :meth:`Panel.cross_sections`, and only :func:`pair_counts` reads
-that block: cohort matrices and moments are reductions of its tables.
+derived from them is cached.  :meth:`Panel.pair_counts` is the one
+cross-section query the analyses make: it takes day pairs and returns
+their state-pair count tables, from one :meth:`Panel.states_at_many`
+sweep.  Both rolling series, the tests and the moments, walk the month
+grid of :meth:`Panel.month_passes`, and cohort matrices and moments are
+reductions of those tables.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import datetime as dt
 
 import numpy as np
 
-from .dates import month_starts
 from .errors import SpanError
 from .scale import N_STATES
 
@@ -126,17 +125,35 @@ class Panel:
         return seg_end
 
     def month_passes(self, look_ahead: int = 0):
-        """The span's month starts as ``(dates, day offsets)``, :data:`MONTHS_PER_PASS` a pass
-        plus the next ``look_ahead``, so each window that many months long ends in its pass."""
-        starts = month_starts(*self.span)
+        """The span's month starts as ``(datetime64[D] dates, int64 day offsets)``,
+        :data:`MONTHS_PER_PASS` a pass plus the next ``look_ahead``, so each window
+        that many months long ends in its pass."""
+        start, end = (np.datetime64(t, "D") for t in self.span)
+        first = start.astype("datetime64[M]")
+        starts = np.arange(first + int(first < start), end.astype("datetime64[M]") + 1)
+        starts = starts.astype("datetime64[D]")
+        days = (starts - start).astype(np.int64)
         for lo in range(0, len(starts) - look_ahead, MONTHS_PER_PASS):
-            dates = starts[lo : lo + MONTHS_PER_PASS + look_ahead]
-            yield dates, [self.day_offset(t) for t in dates]
+            hi = lo + MONTHS_PER_PASS + look_ahead
+            yield starts[lo:hi], days[lo:hi]
 
-    def cross_sections(self, *day_lists) -> tuple:
-        """A :meth:`states_at_many` block of every list's days, then each list's rows in it."""
-        days = np.unique(np.concatenate([np.asarray(d, dtype=np.int64) for d in day_lists]))
-        return self.states_at_many(days), *(np.searchsorted(days, d).tolist() for d in day_lists)
+    def pair_counts(self, first_days, second_days) -> np.ndarray:
+        """State-pair counts of day pairs, shape (pairs, 16, 16).
+
+        ``[w, i + 1, j + 1]`` counts the banks in state ``i`` on day offset
+        ``first_days[w]`` and in state ``j`` on ``second_days[w]``, index 0
+        being unrated.  Days may repeat, come in any order and fall outside
+        the span, where every bank is unrated.
+        """
+        first, second = (np.asarray(d, dtype=np.int64) for d in (first_days, second_days))
+        days, rows = np.unique(np.concatenate([first, second]), return_inverse=True)
+        block = self.states_at_many(days)
+        levels = N_STATES + 1
+        counts = np.empty((len(first), levels, levels), dtype=np.int64)
+        for w, (i, j) in enumerate(rows.reshape(2, len(first)).T.tolist()):
+            pair = levels * block[i].astype(np.int16) + block[j] + (levels + 1)  # int8 would wrap
+            counts[w] = np.bincount(pair, minlength=levels * levels).reshape(levels, levels)
+        return counts
 
     def states_at_many(self, days) -> np.ndarray:
         """Cross-sections on many days, as an int8 block of shape (len(days), n_banks).
@@ -169,17 +186,3 @@ class Panel:
         # Every partial sum is a state or -1, so int8 holds it exactly.
         np.cumsum(delta, axis=0, out=delta)
         return delta[:-1]
-
-
-def pair_counts(block: np.ndarray, first_rows, second_rows) -> np.ndarray:
-    """State-pair counts of row pairs of a cross-section block, shape (pairs, 16, 16).
-
-    ``[w, i + 1, j + 1]`` counts the banks in state ``i`` on row ``first_rows[w]`` and in
-    state ``j`` on row ``second_rows[w]``, index 0 being unrated.  Rows are read in place.
-    """
-    levels = N_STATES + 1
-    counts = np.empty((len(first_rows), levels, levels), dtype=np.int64)
-    for w, (i, j) in enumerate(zip(first_rows, second_rows)):
-        pair = levels * block[i].astype(np.int16) + block[j] + (levels + 1)  # int8 would wrap
-        counts[w] = np.bincount(pair, minlength=levels * levels).reshape(levels, levels)
-    return counts

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 import ratinglab as rl
-from ratinglab.dates import month_starts
+from oracles import month_starts
 
 settings.register_profile(
     "suite",

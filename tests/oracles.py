@@ -97,6 +97,18 @@ def two_pass_moments(sample):
     return mean, m2, m3 / m2 ** 1.5, m4 / m2 ** 2
 
 
+def month_starts(start: dt.date, end: dt.date) -> list[dt.date]:
+    """All first-of-month dates within ``[start, end]``, ascending.
+
+    Months are counted as ``12 * year + month - 1``, so the grid stops
+    at the span's last month start, 9999-12-01 at the latest, without
+    forming a date past it.
+    """
+    first = 12 * start.year + start.month - 1 + (start.day > 1)
+    last = 12 * end.year + end.month - 1
+    return [dt.date(k // 12, k % 12 + 1, 1) for k in range(first, last + 1)]
+
+
 def add_months(day: dt.date, months: int) -> dt.date:
     """Shift a first-of-month date by a number of calendar months."""
     if day.day != 1:

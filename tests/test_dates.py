@@ -1,15 +1,15 @@
 import datetime as dt
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ratinglab.dates import (
-    DAYS_PER_YEAR,
-    month_starts,
-    parse_iso_date,
-)
-from oracles import _iso_date, add_months
+import numpy as np
+
+from ratinglab.dates import DAYS_PER_YEAR, parse_iso_date
+from oracles import _iso_date, add_months, month_starts
+
+from conftest import make_panel
 
 
 def test_days_per_year_constant():
@@ -74,34 +74,49 @@ def test_add_months_inverts(year, month, k):
     assert add_months(add_months(d, k), -k) == d
 
 
+def month_grid(start, end):
+    """The month starts of :meth:`Panel.month_passes` over ``[start, end]``, as dates."""
+    grid = []
+    for dates, days in make_panel((start, end), []).month_passes():
+        assert dates.dtype == np.dtype("datetime64[D]") and days.dtype == np.int64
+        assert days.tolist() == [(t - start).days for t in dates.tolist()]
+        grid += dates.tolist()
+    return grid
+
+
 def test_month_starts_interior():
-    got = month_starts(dt.date(2007, 1, 15), dt.date(2007, 4, 10))
+    got = month_grid(dt.date(2007, 1, 15), dt.date(2007, 4, 10))
     assert got == [dt.date(2007, 2, 1), dt.date(2007, 3, 1), dt.date(2007, 4, 1)]
 
 
 def test_month_starts_inclusive_endpoints():
-    got = month_starts(dt.date(2007, 1, 1), dt.date(2007, 3, 1))
+    got = month_grid(dt.date(2007, 1, 1), dt.date(2007, 3, 1))
     assert got == [dt.date(2007, 1, 1), dt.date(2007, 2, 1), dt.date(2007, 3, 1)]
+    # the first representable day starts the grid
+    got = month_grid(dt.date.min, dt.date(1, 3, 1))
+    assert got == [dt.date(1, 1, 1), dt.date(1, 2, 1), dt.date(1, 3, 1)]
 
 
 def test_month_starts_empty():
-    assert month_starts(dt.date(2007, 1, 2), dt.date(2007, 1, 31)) == []
+    assert month_grid(dt.date(2007, 1, 2), dt.date(2007, 1, 31)) == []
 
 
 def test_month_starts_stop_at_last_representable_month():
     last = dt.date(9999, 12, 1)
-    assert month_starts(dt.date(9999, 10, 15), dt.date.max) == [dt.date(9999, 11, 1), last]
-    assert month_starts(dt.date(9999, 12, 2), dt.date.max) == []
-    assert month_starts(last, last) == [last]
+    assert month_grid(dt.date(9999, 10, 15), dt.date.max) == [dt.date(9999, 11, 1), last]
+    assert month_grid(dt.date(9999, 12, 2), dt.date.max) == []
+    assert month_grid(last, last) == [last]
 
 
 @given(
     start=st.dates(dt.date(2000, 1, 1), dt.date(2015, 1, 1)),
     days=st.integers(0, 1200),
 )
+@example(start=dt.date.min, days=1200)
 def test_month_starts_properties(start, days):
     end = start + dt.timedelta(days=days)
-    got = month_starts(start, end)
+    got = month_grid(start, end)
+    assert got == month_starts(start, end)
     assert all(d.day == 1 for d in got)
     assert all(start <= d <= end for d in got)
     assert got == sorted(got)

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 import ratinglab as rl
 import ratinglab.panel as panel_module
-from ratinglab.dates import month_starts
-from oracles import state_on, two_pass_moments
+from oracles import month_starts, state_on, two_pass_moments
 
 from conftest import cross_section, make_panel, mid_month_panels, raw_histories
 
@@ -301,15 +300,20 @@ def assert_rows_are_month_moments(panel, tau):
 
 
 @given(mid_month_panels(), st.integers(1, 800), st.sampled_from([1, 3, 10**9]))
+@example(flat_panel([3, 7], (D(2007, 1, 2), D(2007, 2, 1))), 30, 1)
+@example(flat_panel([3, 7], (D(2007, 1, 2), D(2007, 2, 1))), 31, 1)
 def test_moment_series_rows_are_moments_of_each_month(panel, tau, per_pass):
-    # lags of up to 800 days reach before the span start, where every bank is unrated
+    # lags of up to 800 days reach before the span start, where every bank is
+    # unrated; in the examples the span's only month start is its last day, so
+    # a 30-day lag reads its first day and a 31-day lag the day before it
     with mock.patch.object(panel_module, "MONTHS_PER_PASS", per_pass):
         assert_rows_are_month_moments(panel, tau)
 
 
 def test_moment_series_holds_one_pass_block_at_a_time():
-    # 20,000 static banks over 30 years: passes of 120 months build blocks
-    # of about 3 MB each.  The series' peak is one pass's, not two.
+    # 20,000 static banks over 30 years: the pair tables of a pass of 120
+    # months come from a block of about 5 MB.  The series' peak is one
+    # pass's, not two.
     scenario = rl.scenario_from_mapping({
         "kind": "homogeneous", "n_banks": "20000", "start": "1990-01-01", "end": "2020-01-01",
         "seed": "1", "rate_scale": "0",
@@ -323,7 +327,7 @@ def test_moment_series_holds_one_pass_block_at_a_time():
         for _, days in panel.month_passes():
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            built = panel.cross_sections(days, [max(d - 365, -1) for d in days])
+            built = panel.pair_counts(np.maximum(days - 365, -1), days)
             pass_peaks.append(tracemalloc.get_traced_memory()[1] - before)
             del built
         tracemalloc.reset_peak()
@@ -338,8 +342,8 @@ def test_moment_series_holds_one_pass_block_at_a_time():
 
 def test_moment_series_memory_grows_only_with_its_output():
     # Over 400 years of the 60-bank golden panel against 100, the peak may
-    # grow by the longer series itself and its month grid, about 110 bytes
-    # a month, but not by a per-month record of counts.
+    # grow by the longer series itself and its month grid, 16 bytes a
+    # month, but not by a per-month record of counts.
     golden = Path(__file__).parent / "data" / "golden_panel.csv"
     rl.moment_series(rl.parse_panel(golden, (None, None)))  # first-call allocations
     peaks, sizes = [], []

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 import ratinglab as rl
 import ratinglab.diagnostics as diagnostics
 import ratinglab.panel as panel_module
-from ratinglab.dates import month_starts
-from oracles import cohort_matrix, sigma_max, window_counts_exposures
+from oracles import cohort_matrix, month_starts, sigma_max, window_counts_exposures
 
 from conftest import make_panel, mid_month_panels, raw_histories
 
@@ -384,15 +383,17 @@ def test_rolling_series_windows_match_oracles(panel, window, per_pass):
         for got_counts, got_exposure, w in zip(counts, exposure, p):
             assert np.array_equal(got_counts, oracle[w][0])
             assert np.array_equal(got_exposure, oracle[w][1])
-    # homogeneity takes one cohort stack a pass; ck three, the full windows
-    # and their two halves, split at the floor midpoint
+    # homogeneity takes one cohort stack a pass; ck one (3, windows) stack,
+    # the full windows and their two halves, split at the floor midpoint
+    shapes = [(len(p),) for p in fitted] + [(3, len(p)) for p in passes]
+    assert [stack.shape[:-2] for stack in cohorts] == shapes
     cohort_windows = list(fitted)
     for p in passes:
         mids = [t0 + dt.timedelta(days=(tf - t0).days // 2) for t0, tf in p]
         cohort_windows += [p, [(t0, tm) for (t0, _), tm in zip(p, mids)],
                            [(tm, tf) for (_, tf), tm in zip(p, mids)]]
-    assert [len(stack) for stack in cohorts] == [len(ws) for ws in cohort_windows]
-    for stack, ws in zip(cohorts, cohort_windows):
+    stacks = cohorts[: len(fitted)] + [part for stack in cohorts[len(fitted) :] for part in stack]
+    for stack, ws in zip(stacks, cohort_windows):
         for m, (t0, tf) in zip(stack, ws):
             assert np.array_equal(m, cohort_matrix(hist, t0, tf))
 

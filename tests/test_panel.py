@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 import ratinglab as rl
 import ratinglab.panel as panel_module
-from ratinglab.dates import month_starts
-from oracles import state_on
+from oracles import month_starts, state_on
 
 from conftest import cross_section, make_panel, series_rows
 
@@ -305,36 +304,27 @@ def test_states_at_many_rejects_days_not_strictly_ascending(days):
 
 
 @given(panel_specs(), st.data())
-def test_cross_sections_rows_match_each_list(specs, data):
-    # lists of days in any order, repeated within and across the lists
+def test_pair_counts_match_brute_force(specs, data):
+    # Day pairs repeated and in any order, some before or after the span,
+    # where every bank is unrated, many on or next to an event or a
+    # coverage end; specs include withdrawn banks and the empty panel.
     day = st.integers(-400, 3000) | st.sampled_from(_edge_days(specs) or [0])
-    lists = data.draw(st.lists(st.lists(day, max_size=8), min_size=1, max_size=3))
+    pairs = data.draw(st.lists(st.tuples(day, day), max_size=8))
     panel = make_panel(SPAN, specs)
-    block, *rows = panel.cross_sections(*lists)
-    assert block.shape[0] == len(set().union(*lists))
-    assert [len(r) for r in rows] == [len(days) for days in lists]
-    for days, at in zip(lists, rows):
-        for off, r in zip(days, at):
-            assert np.array_equal(block[r], cross_section(panel, SPAN[0] + dt.timedelta(days=off))[0])
-
-
-@given(st.data())
-def test_pair_counts_match_brute_force(data):
-    # int8 blocks of states and -1 (unrated), row pairs repeated and in any
-    # order, and empty row lists
-    n_rows, n_banks = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 30))
-    cells = data.draw(st.lists(st.integers(-1, 14), min_size=n_rows * n_banks, max_size=n_rows * n_banks))
-    block = np.array(cells, dtype=np.int8).reshape(n_rows, n_banks)
-    row = st.integers(0, n_rows - 1)
-    pairs = data.draw(st.lists(st.tuples(row, row), max_size=6))
-    first, second = [i for i, _ in pairs], [j for _, j in pairs]
-    got = panel_module.pair_counts(block, first, second)
-    want = np.zeros((len(pairs), 16, 16), dtype=np.int64)
-    for w, (i, j) in enumerate(pairs):
-        for k in range(n_banks):
-            want[w, block[i, k] + 1, block[j, k] + 1] += 1
-    assert got.dtype == np.int64
-    assert np.array_equal(got, want)
+    got = panel.pair_counts([i for i, _ in pairs], [j for _, j in pairs])
+    assert got.dtype == np.int64 and got.shape == (len(pairs), 16, 16)
+    for w, days in enumerate(pairs):
+        dates = [SPAN[0] + dt.timedelta(days=off) for off in days]
+        from_state_on, from_cross_section = np.zeros((2, 16, 16), dtype=np.int64)
+        for _, events, cov in specs:
+            i, j = (state_on(events, cov, t) if SPAN[0] <= t <= SPAN[1] else None for t in dates)
+            from_state_on[0 if i is None else i + 1, 0 if j is None else j + 1] += 1
+        first, second = cross_section(panel, *dates)
+        np.add.at(from_cross_section, (first + 1, second + 1), 1)
+        assert np.array_equal(got[w], from_state_on)
+        assert np.array_equal(got[w], from_cross_section)
+    empty = panel.pair_counts([], [])
+    assert empty.dtype == np.int64 and empty.shape == (0, 16, 16)
 
 
 @pytest.mark.parametrize("per_pass", [1, 5, 120])
@@ -351,7 +341,9 @@ def test_month_passes_cover_the_month_grid(span, look_ahead, per_pass, monkeypat
     # every window start is served once, in order.
     window_starts = []
     for dates, days in passes:
-        assert days == [(t - span[0]).days for t in dates]
+        assert dates.dtype == np.dtype("datetime64[D]") and days.dtype == np.int64
+        dates = dates.tolist()
+        assert days.tolist() == [(t - span[0]).days for t in dates]
         i = starts.index(dates[0])
         assert dates == starts[i : i + len(dates)]
         window_starts += dates[: len(dates) - look_ahead]
