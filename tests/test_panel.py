@@ -304,6 +304,27 @@ def test_states_at_many_rejects_days_not_strictly_ascending(days):
 
 
 @given(panel_specs(), st.data())
+def test_cross_sections_rows_match_each_list(specs, data):
+    # Lists of days in any order, repeated within and across the lists,
+    # some outside the span: each list's rows from one cross_section call
+    # (one states_at_many sweep over its distinct days, as pair_counts
+    # takes them) match that day's own cross-section and state_on.
+    day = st.integers(-400, 3000) | st.sampled_from(_edge_days(specs) or [0])
+    lists = data.draw(st.lists(st.lists(day, max_size=8), min_size=1, max_size=3))
+    panel = make_panel(SPAN, specs)
+    for days in lists:
+        dates = [SPAN[0] + dt.timedelta(days=off) for off in days]
+        rows = cross_section(panel, *dates)
+        assert rows.shape == (len(days), len(specs))
+        for t, row in zip(dates, rows):
+            assert np.array_equal(row, cross_section(panel, t)[0])
+            inside = SPAN[0] <= t <= SPAN[1]
+            for k, (_, events, cov) in enumerate(specs):
+                want = state_on(events, cov, t) if inside else None
+                assert row[k] == (-1 if want is None else want)
+
+
+@given(panel_specs(), st.data())
 def test_pair_counts_match_brute_force(specs, data):
     # Day pairs repeated and in any order, some before or after the span,
     # where every bank is unrated, many on or next to an event or a
