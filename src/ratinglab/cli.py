@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .dates import parse_iso_date
 from .descriptive import moment_series, write_moment_series_csv
-from .diagnostics import rolling_series, write_test_series_csv
+from .diagnostics import WINDOW_MONTHS, rolling_series, write_test_series_csv
 from .errors import RatingLabError, SpanError
 from .ingest import (
     daily_counts,
@@ -86,15 +86,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau", type=int, default=365, help="increment lag in days (default 365)")
     sp.set_defaults(func=cmd_moments)
 
-    sp = sub.add_parser("homogeneity", help="rolling time-homogeneity statistic")
-    _add_panel_args(sp, "test series CSV")
-    sp.add_argument("--window", choices=("month", "year"), default="year")
-    sp.set_defaults(func=cmd_homogeneity)
-
-    sp = sub.add_parser("ck", help="rolling semigroup-consistency deviation")
-    _add_panel_args(sp, "test series CSV")
-    sp.add_argument("--window", choices=("month", "year"), default="year")
-    sp.set_defaults(func=cmd_ck)
+    for name, help_text, func in (
+        ("homogeneity", "rolling time-homogeneity statistic", cmd_homogeneity),
+        ("ck", "rolling semigroup-consistency deviation", cmd_ck),
+    ):
+        sp = sub.add_parser(name, help=help_text)
+        _add_panel_args(sp, "test series CSV")
+        sp.add_argument("--window", choices=tuple(WINDOW_MONTHS), default="year")
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("simulate", help="draw a synthetic panel from a scenario file")
     sp.add_argument("--scenario", required=True, help="scenario key=value file")

@@ -10,14 +10,14 @@ state change.
 A source, a path or a text stream, is read once, and its text is
 split into records as ``csv.reader`` splits a file opened with
 ``newline=""``.  A byte scan finds the records' line ends and commas
-with numpy in the text's UTF-8 bytes and interns every field as an
-integer code, numbered per column in order of first appearance.  A text
-it could misread (one with a quote, a NUL, a CR not before an LF or a
-line over the csv module's field size limit) is read by a
-``csv.reader`` loop that interns the same codes.  Dates are parsed once
-per distinct text, a missing end of the span is taken from those
-distinct dates, and the checks and the collapse into the panel's arrays
-are vectorised.  Each check names the row a row-by-row reader would.
+with numpy in the text's UTF-8 bytes and interns each column's fields
+as integer codes.  A text it could misread (one with a quote, a NUL, a
+CR not before an LF or a line over the csv module's field size limit)
+is read by a ``csv.reader`` loop.  A bank's code is its id's rank in
+id order.  Dates are parsed once per distinct text, a missing end of
+the span is taken from those distinct dates, and the checks and the
+collapse into the panel's arrays are vectorised.  Each check names the
+row a row-by-row reader would.
 
 The daily count series are read off the panel's arrays: the rated
 banks on each day are a running sum of coverage starts less ends.
@@ -94,7 +94,7 @@ def parse_panel(source: Target, span: tuple[Optional[dt.date], Optional[dt.date]
         raise SpanError(start, end)
 
     # The byte scan, or the csv module where the scan could misread,
-    # interns each column's fields in order of first appearance.  The
+    # interns each column's fields, in no order that matters here.  The
     # read stops at the first row without three fields or that the csv
     # module rejects: that row's error comes after the earlier rows'
     # checks and wins over every later row's.
@@ -107,16 +107,15 @@ def parse_panel(source: Target, span: tuple[Optional[dt.date], Optional[dt.date]
         """CSV row number (header = 1) of data record ``i``."""
         return 2 + int(i) + bisect.bisect_right(blanks, i)
 
-    # Raw bank texts that strip to the same id share the id's code,
-    # numbered in order of first appearance.
+    # Each bank's code is its id's rank in id order; raw bank texts
+    # that strip to the same id share it.
     stripped = list(map(str.strip, bank_texts))
-    ids = dict(zip(dict.fromkeys(stripped), itertools.count()))
-    canonical = np.fromiter(map(ids.__getitem__, stripped), dtype=np.int64, count=len(stripped))
-    bank_ids = list(ids)
-    bank = canonical[bank_col]
+    bank_ids = sorted(dict.fromkeys(stripped))
+    rank = dict(zip(bank_ids, itertools.count()))
+    bank = np.fromiter(map(rank.__getitem__, stripped), dtype=np.int64, count=len(stripped))[bank_col]
     date_texts = list(map(str.strip, date_texts))
     label_texts = list(map(str.strip, label_texts))
-    del columns, bank_texts, bank_col, stripped, ids  # not held through the sort
+    del columns, bank_texts, bank_col, stripped, rank  # not held through the sort
 
     # Dates are parsed once per distinct text, all at once when every
     # one is a ``YYYY-MM-DD`` calendar date; 0 marks an invalid one
@@ -182,12 +181,8 @@ def parse_panel(source: Target, span: tuple[Optional[dt.date], Optional[dt.date]
 
     # Group by bank (in id order), then by day, then by row.
     n_banks = len(bank_ids)
-    ids = sorted(range(n_banks), key=bank_ids.__getitem__)  # codes in id order
-    rank = np.empty(n_banks, dtype=np.int64)
-    rank[ids] = np.arange(n_banks)  # each code's place in that order
-    ids = list(map(bank_ids.__getitem__, ids))  # the ids in order; the codes' ints are freed
     day = ordinal - lo
-    order = np.argsort(rank[bank] * (hi - lo + 1) + day, kind="stable")
+    order = np.argsort(bank * (hi - lo + 1) + day, kind="stable")
     bank, day, state = bank[order], day[order], state[order]
     first = np.ones(order.size, dtype=bool)
     first[1:] = bank[1:] != bank[:-1]
@@ -206,7 +201,9 @@ def parse_panel(source: Target, span: tuple[Optional[dt.date], Optional[dt.date]
     # the first row after a withdrawal or opening with one.
     bad = conflict | after_wr | orphan_wr
     if bad.any():
-        k = int(bank[bad].min())
+        appear = np.full(n_banks, order.size)
+        np.minimum.at(appear, bank, order)  # each bank's first row
+        k = int(bank[bad][np.argmin(appear[bank[bad]])])
         mine = bank == k
         hits = conflict & mine
         i = int(np.argmax(hits if hits.any() else bad & mine))
@@ -227,12 +224,11 @@ def parse_panel(source: Target, span: tuple[Optional[dt.date], Optional[dt.date]
     # dropping rows that repeat the previous row's state collapses both
     # re-affirmations and same-day duplicates.
     keep = ~withdrawn & (first | changed)
-    ranked = rank[bank]
     coverage_end = np.full(n_banks, hi - lo, dtype=np.int64)
-    coverage_end[ranked[withdrawn]] = day[withdrawn] - 1
-    counts = np.bincount(ranked[keep], minlength=n_banks)
+    coverage_end[bank[withdrawn]] = day[withdrawn] - 1
+    counts = np.bincount(bank[keep], minlength=n_banks)
     return Panel(
-        ids,
+        bank_ids,
         np.concatenate([[0], np.cumsum(counts)]),
         day[keep],
         state[keep],
@@ -257,8 +253,8 @@ def _read(source: Target):
 def _read_records(lines):
     """A ``csv.reader`` loop over ``lines``: the header, three columns, the blanks and the stop.
 
-    A column is its distinct texts in order of first appearance and each
-    record's index into them; a blank is the records read before a blank
+    A column is its distinct texts, in any order, and each record's
+    index into them; a blank is the records read before a blank
     line; the stop is the ``(row, message)`` of the record that ended the read.
     """
     banks, dates, labels = (defaultdict(itertools.count().__next__) for _ in range(3))
@@ -323,10 +319,10 @@ def _scan(data: bytes):
 
 
 def _intern(buf: np.ndarray, s: np.ndarray, e: np.ndarray):
-    """The fields ``buf[s:e]`` as ``(texts, codes)``, numbered in order of first appearance.
+    """The fields ``buf[s:e]`` as ``(texts, codes)``, numbered in the order of their keys.
 
     A key folds in a field's 8-byte words, so fields of up to 8 bytes share one only if
-    equal; longer ones sharing a key are compared word by word (``None`` if two differ).
+    equal; longer ones sharing a key are compared word by word with one (``None`` if any differ).
     """
     words = np.ndarray(buf.size - 7, dtype="<u8", buffer=buf, strides=(1,))  # the word at each byte
     n = e - s
@@ -334,10 +330,10 @@ def _intern(buf: np.ndarray, s: np.ndarray, e: np.ndarray):
     key = np.zeros(n.size, dtype=np.uint64)
     for k in range(0, longest, 8):
         key = key * _MIX + (words[s + np.minimum(n, k)] & _FIRST_BYTES[np.clip(n - k, 0, 8)])
-    _, inverse = np.unique(key, return_inverse=True)
-    first = np.full(inverse.max(initial=-1) + 1, n.size)
-    np.minimum.at(first, inverse, np.arange(n.size))  # each key's first field
-    same = first[inverse]
+    _, codes = np.unique(key, return_inverse=True)
+    one = np.empty(codes.max(initial=-1) + 1, dtype=np.int64)
+    one[codes] = np.arange(n.size)  # a field with each key
+    same = one[codes]
     if (n[same] != n).any():
         return None
     at = np.flatnonzero(n > 8)
@@ -346,11 +342,9 @@ def _intern(buf: np.ndarray, s: np.ndarray, e: np.ndarray):
         if ((words[s[at] + k] ^ words[s[same[at]] + k]) & _FIRST_BYTES[np.minimum(n[at] - k, 8)]).any():
             return None
     del key, same
-    firsts = np.sort(first)
-    codes = np.searchsorted(firsts, first)[inverse]
     # The distinct fields, each with the byte after it made an LF, decoded at once:
     # their places are a running sum of steps, 1 but from one field to the next.
-    s, e = s[firsts], e[firsts]
+    s, e = s[one], e[one]
     step = e - s + 1
     end = np.cumsum(step)
     at = np.ones(end[-1] if end.size else 0, dtype=s.dtype)

@@ -134,7 +134,7 @@ class Scenario:
         if not 0 <= self.n_banks < 2**32:
             raise ValueError(f"n_banks must be nonnegative and below 2**32, got {self.n_banks}")
         if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         start, end = self.span
         if end < start:
             raise ValueError(f"span end {end} before start {start}")
@@ -448,7 +448,7 @@ def _parse_initial(text: str) -> np.ndarray:
         return point_mass_distribution(int(text.split(":", 1)[1]))
     parts = [p for p in text.split(",")]
     if len(parts) != N_STATES:
-        raise ValueError(f"initial distribution needs {N_STATES} probabilities")
+        raise ValueError(f"expected uniform, state:K or {N_STATES} comma-separated probabilities, got {text!r}")
     return np.asarray([float(p) for p in parts])
 
 
@@ -465,7 +465,8 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
     ``switch_multiplier`` (regime_switch only; default 3), ``gamma`` /
     ``memory_days`` (excited only; defaults 5 / 90), ``initial``
     (``uniform``, ``state:K`` or 15 comma-separated probabilities;
-    default uniform).  A key for another kind is an error.
+    default uniform).  A key for another kind is an error, and so is a
+    value that does not parse, named by its key.
     """
     unknown = set(mapping) - _REQUIRED_KEYS - _OPTIONAL_KEYS
     if unknown:
@@ -473,35 +474,48 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
     missing = _REQUIRED_KEYS - set(mapping)
     if missing:
         raise DataFormatError(f"missing scenario keys: {sorted(missing)}")
+
+    def value(key, parse, default=None):
+        """``parse(mapping[key])``, or of ``default`` if ``key`` is absent; a failure names ``key``."""
+        text = mapping.get(key, default)
+        try:
+            return parse(text)
+        except ValueError as exc:
+            what = {int: "an integer", float: "a number"}.get(parse)
+            raise ValueError(f"{key} must be {what}, got {text!r}" if what else f"{key}: {exc}") from None
+
     try:
         kind = mapping["kind"]
         for key in mapping:
             if _KIND_KEYS.get(key, kind) != kind:
                 raise ValueError(f"{key} applies only to {_KIND_KEYS[key]} scenarios, not {kind!r}")
-        n_banks = int(mapping["n_banks"])
-        start = parse_iso_date(mapping["start"])
-        end = parse_iso_date(mapping["end"])
-        seed = int(mapping["seed"])
-        rate_scale = float(mapping["rate_scale"])
-        generator_seed = int(mapping.get("generator_seed", str(seed)))
+        n_banks = value("n_banks", int)
+        start = value("start", parse_iso_date)
+        end = value("end", parse_iso_date)
+        seed = value("seed", int)
+        rate_scale = value("rate_scale", float)
+        generator_seed = value("generator_seed", int, mapping["seed"])
+        for key, number in (("seed", seed), ("generator_seed", generator_seed)):
+            if number < 0:  # before a SeedSequence rejects it without naming the key
+                raise ValueError(f"{key} must be a nonnegative integer, got {number}")
         if rate_scale == 0.0:  # static scenario: nobody ever moves
             base = GeneratorMatrix(entries=np.zeros((N_STATES, N_STATES)))
         else:
             base = random_generator(generator_seed, rate_scale)
-        initial = _parse_initial(mapping.get("initial", "uniform"))
+        initial = value("initial", _parse_initial, "uniform")
 
         excitation = None
         if kind == "excited":
             excitation = Excitation(
-                gamma=float(mapping.get("gamma", "5")),
-                memory_days=int(mapping.get("memory_days", "90")),
+                gamma=value("gamma", float, "5"),
+                memory_days=value("memory_days", int, "90"),
             )
         if kind == "regime_switch":
             if "switch_date" in mapping:
-                switch = parse_iso_date(mapping["switch_date"])
+                switch = value("switch_date", parse_iso_date)
             else:
                 switch = start + dt.timedelta(days=(end - start).days // 2)
-            multiplier = float(mapping.get("switch_multiplier", "3"))
+            multiplier = value("switch_multiplier", float, "3")
             if not 0 <= multiplier < math.inf:
                 raise ValueError(f"switch_multiplier must be finite and >= 0, got {multiplier}")
             switched = GeneratorMatrix(entries=multiplier * base.entries)

@@ -480,13 +480,28 @@ def test_simulate_bad_scenario_is_data_error(tmp_path, capsys):
             "homogeneous", "n_banks = 4294967296",
             "n_banks must be nonnegative and below 2**32, got 4294967296",
         ),
+        # a value that does not parse names its key; seeds are checked
+        # before the generator is drawn from them
+        ("homogeneous", "seed = -1", "seed must be a nonnegative integer, got -1"),
+        ("homogeneous", "generator_seed = -2", "generator_seed must be a nonnegative integer, got -2"),
+        ("homogeneous", "n_banks = abc", "n_banks must be an integer, got 'abc'"),
+        ("homogeneous", "rate_scale = abc", "rate_scale must be a number, got 'abc'"),
+        ("homogeneous", "start = 2007-1-01", "start: invalid ISO date '2007-1-01'"),
+        (
+            "homogeneous", "initial = 1",
+            "initial: expected uniform, state:K or 15 comma-separated probabilities, got '1'",
+        ),
     ],
-    ids=["gamma", "memory_days", "switch_date", "switch_multiplier", "n_banks-2**32"],
+    ids=[
+        "gamma", "memory_days", "switch_date", "switch_multiplier", "n_banks-2**32",
+        "seed-negative", "generator_seed-negative", "n_banks-text", "rate_scale-text", "start-date",
+        "initial-count",
+    ],
 )
 def test_simulate_scenario_key_out_of_place_is_data_error(tmp_path, capsys, kind, value, message):
-    text = f"kind = {kind}\nstart = 2007-01-01\nend = 2008-01-01\nseed = 1\nrate_scale = 0.5\n"
-    if not value.startswith("n_banks"):
-        text += "n_banks = 3\n"
+    keys = {"start": "2007-01-01", "end": "2008-01-01", "seed": "1", "rate_scale": "0.5", "n_banks": "3"}
+    keys.pop(value.split(" = ")[0], None)  # the case gives that key's value
+    text = f"kind = {kind}\n" + "".join(f"{key} = {v}\n" for key, v in keys.items())
     scen_path = tmp_path / "scen.txt"
     scen_path.write_text(text + value + "\n", encoding="utf-8")
     out = tmp_path / "x.csv"
