@@ -142,7 +142,7 @@ def transitions_through(panel: Panel, days) -> np.ndarray:
     days = np.asarray(days, dtype=np.int64)
     idx = panel.transitions()
     pair = panel.event_state[idx - 1] * N_STATES + panel.event_state[idx]
-    cell = np.searchsorted(days, panel.event_day[idx]) * N_STATES**2 + pair
+    cell = panel.buckets(days, panel.event_day[idx]) * N_STATES**2 + pair
     hist = np.bincount(cell, minlength=(len(days) + 1) * N_STATES**2)
     # The spare last bucket holds the changes after the last listed day.
     hist = hist.reshape(-1, N_STATES, N_STATES)[:-1]
@@ -166,7 +166,7 @@ def bank_days_before(panel: Panel, days) -> np.ndarray:
     day_sum = np.zeros(size, dtype=np.int64)
     for points, sign in ((panel.event_day, 1), (panel.segment_ends(), -1)):
         # Cell (first listed day past the point, state); the spare last row is never read.
-        cell = np.searchsorted(days, points, side="right") * N_STATES + panel.event_state
+        cell = panel.buckets(days, points, "right") * N_STATES + panel.event_state
         passed += sign * np.bincount(cell, minlength=size)
         np.add.at(day_sum, cell, sign * points.astype(np.int64))
     passed, day_sum = (np.cumsum(a.reshape(-1, N_STATES)[:-1], axis=0) for a in (passed, day_sum))

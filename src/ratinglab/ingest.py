@@ -14,9 +14,14 @@ with numpy in the text's UTF-8 bytes and interns each column's fields
 as integer codes.  A text it could misread (one with a quote, a NUL, a
 CR not before an LF or a line over the csv module's field size limit)
 is read by a ``csv.reader`` loop.  A bank's code is its id's rank in
-id order.  Dates are parsed once per distinct text, a missing end of
-the span is taken from those distinct dates, and the checks and the
-collapse into the panel's arrays are vectorised.  Each check names the
+id order.  The scan keys ids of up to 8 bytes by their bytes, read as
+one big-endian number, so it numbers them in id order already; longer
+ids by a hash of their words.  A date column whose every field reads
+``YYYY-MM-DD`` is keyed by its eight digits, one of any other shape as
+the ids are.  Dates are parsed once per distinct text, a missing end of
+the span is taken from those distinct dates, and the checks, the
+grouping of the rows by one value sort and the collapse into the
+panel's arrays are vectorised.  Each check names the
 row a row-by-row reader would.
 
 The daily count series are read off the panel's arrays: the rated
@@ -66,6 +71,13 @@ _ISO_DATES = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}(?:,[0-9]{4}-[0-9]{2}-[0-9]{
 _FIRST_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # folds a long field's further words into its key
 
+#: A ``YYYY-MM-DD`` field's words at its first and third bytes, XORed with
+#: ``_ISO``, hold 0-9 in a digit's byte and 0 in a dash's, so adding
+#: ``_ISO_ADD`` (6 to a digit, 15 to a dash) leaves every high nibble 0.
+_ISO = np.frombuffer(b"0000-00-00-00-00", dtype="<u8")
+_ISO_ADD = np.frombuffer(bytes(6 if c == ord("0") else 15 for c in b"0000-00-00-00-00"), dtype="<u8")
+_HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
+
 
 def parse_panel(source: Target, span: tuple[Optional[dt.date], Optional[dt.date]]) -> Panel:
     """Parse an event CSV, a path or a text stream, into a validated, immutable panel.
@@ -94,10 +106,10 @@ def parse_panel(source: Target, span: tuple[Optional[dt.date], Optional[dt.date]
         raise SpanError(start, end)
 
     # The byte scan, or the csv module where the scan could misread,
-    # interns each column's fields, in no order that matters here.  The
-    # read stops at the first row without three fields or that the csv
-    # module rejects: that row's error comes after the earlier rows'
-    # checks and wins over every later row's.
+    # interns each column's fields.  The read stops at the first row
+    # without three fields or that the csv module rejects: that row's
+    # error comes after the earlier rows' checks and wins over every
+    # later row's.
     header, columns, blanks, stop = _read(source)
     if header is not None and tuple(h.strip() for h in header) != HEADER:
         raise DataFormatError(f"expected header {','.join(HEADER)!r}, got {','.join(header)!r}", row=1)
@@ -108,14 +120,20 @@ def parse_panel(source: Target, span: tuple[Optional[dt.date], Optional[dt.date]
         return 2 + int(i) + bisect.bisect_right(blanks, i)
 
     # Each bank's code is its id's rank in id order; raw bank texts
-    # that strip to the same id share it.
+    # that strip to the same id share it.  The byte scan numbers ids of
+    # up to 8 bytes in id order already: then its codes are the ranks.
     stripped = list(map(str.strip, bank_texts))
-    bank_ids = sorted(dict.fromkeys(stripped))
-    rank = dict(zip(bank_ids, itertools.count()))
-    bank = np.fromiter(map(rank.__getitem__, stripped), dtype=np.int64, count=len(stripped))[bank_col]
+    bank_ids = sorted(stripped)
+    if bank_ids == bank_texts:  # no id was padded, as texts are distinct
+        bank = bank_col
+    else:
+        bank_ids = sorted(dict.fromkeys(stripped))
+        rank = dict(zip(bank_ids, itertools.count()))
+        bank = np.fromiter(map(rank.__getitem__, stripped), dtype=np.int64, count=len(stripped))[bank_col]
+        del rank
     date_texts = list(map(str.strip, date_texts))
     label_texts = list(map(str.strip, label_texts))
-    del columns, bank_texts, bank_col, stripped, rank  # not held through the sort
+    del columns, bank_texts, bank_col, stripped  # not held through the sort
 
     # Dates are parsed once per distinct text, all at once when every
     # one is a ``YYYY-MM-DD`` calendar date; 0 marks an invalid one
@@ -180,9 +198,9 @@ def parse_panel(source: Target, span: tuple[Optional[dt.date], Optional[dt.date]
         )
 
     # Group by bank (in id order), then by day, then by row.
-    n_banks = len(bank_ids)
+    n_banks, n_days = len(bank_ids), hi - lo + 1
     day = ordinal - lo
-    order = np.argsort(bank * (hi - lo + 1) + day, kind="stable")
+    order = _row_order(bank * n_days + day, n_banks * n_days)
     bank, day, state = bank[order], day[order], state[order]
     first = np.ones(order.size, dtype=bool)
     first[1:] = bank[1:] != bank[:-1]
@@ -235,6 +253,18 @@ def parse_panel(source: Target, span: tuple[Optional[dt.date], Optional[dt.date]
         coverage_end,
         (start, end),
     )
+
+
+def _row_order(group: np.ndarray, n_groups: int, limit: int = 2**63) -> np.ndarray:
+    """The rows sorted by ``group`` (each in ``range(n_groups)``), then by row.
+
+    One value sort of the distinct keys ``group * rows + row`` where they all
+    lie below ``limit`` (int64's), else a stable argsort, several times slower.
+    """
+    rows = group.size
+    if n_groups * rows > limit:
+        return np.argsort(group, kind="stable")
+    return np.sort(group * rows + np.arange(rows)) % rows
 
 
 def _read(source: Target):
@@ -310,38 +340,55 @@ def _scan(data: bytes):
     blank = fields[: odd[0] if odd.size else fields.size] == 0
     blanks = np.cumsum(~blank)[blank].tolist()
     line = 1 + np.flatnonzero(~blank)
+    at = nl[line]
     # Each record's previous line end, two commas and line end: its fields lie between.
-    edge = sep[nl[line, None] + np.arange(-3, 1)]
-    edge[:, 3] -= crlf[line]
-    del sep, nl, crlf, length, fields, blank, line
-    columns = [_intern(buf, edge[:, i] + 1, edge[:, i + 1]) for i in range(3)]
+    edge = [sep[at + k] for k in range(-3, 1)]
+    edge[3] -= crlf[line]
+    del sep, nl, crlf, length, fields, blank, line, at
+    columns = [_intern(buf, edge[i] + 1, edge[i + 1]) for i in range(3)]
     return None if None in columns else (header, columns, blanks, stop)
 
 
 def _intern(buf: np.ndarray, s: np.ndarray, e: np.ndarray):
     """The fields ``buf[s:e]`` as ``(texts, codes)``, numbered in the order of their keys.
 
-    A key folds in a field's 8-byte words, so fields of up to 8 bytes share one only if
-    equal; longer ones sharing a key are compared word by word with one (``None`` if any differ).
+    A column whose every field reads ``YYYY-MM-DD`` is keyed by the fields' digits.
+    Otherwise a key folds in a field's 8-byte words, each read as a big-endian
+    number, so fields of up to 8 bytes share one only if equal and are numbered in
+    byte order; longer ones sharing a key are compared word by word with one
+    (``None`` if any differ).
     """
     words = np.ndarray(buf.size - 7, dtype="<u8", buffer=buf, strides=(1,))  # the word at each byte
     n = e - s
     longest = int(n.max(initial=0))
-    key = np.zeros(n.size, dtype=np.uint64)
-    for k in range(0, longest, 8):
-        key = key * _MIX + (words[s + np.minimum(n, k)] & _FIRST_BYTES[np.clip(n - k, 0, 8)])
-    _, codes = np.unique(key, return_inverse=True)
+    key = _iso_key(words, s) if (n == 10).all() else None
+    exact = key is not None or longest <= 8
+    if key is None:
+        key = np.zeros(n.size, dtype=np.uint64)
+        for k in range(0, longest, 8):
+            key = key * _MIX + (words[s + np.minimum(n, k)] & _FIRST_BYTES[np.clip(n - k, 0, 8)]).byteswap()
+        if 0 < longest < 8:  # short keys, such as labels', span a small range
+            key >>= np.uint64(64 - 8 * longest)
+    lo, hi = (int(key.min()), int(key.max())) if n.size else (0, -1)
+    if hi - lo < n.size:  # one table of the keys' range, no sort
+        seen = np.zeros(hi - lo + 1, dtype=bool)
+        seen[key - lo] = True
+        codes = (np.cumsum(seen) - 1)[key - lo]
+    else:
+        codes = np.unique(key, return_inverse=True)[1]
     one = np.empty(codes.max(initial=-1) + 1, dtype=np.int64)
     one[codes] = np.arange(n.size)  # a field with each key
-    same = one[codes]
-    if (n[same] != n).any():
-        return None
-    at = np.flatnonzero(n > 8)
-    for k in range(0, longest, 8):
-        at = at[n[at] > k]
-        if ((words[s[at] + k] ^ words[s[same[at]] + k]) & _FIRST_BYTES[np.minimum(n[at] - k, 8)]).any():
+    if not exact:
+        same = one[codes]
+        if (n[same] != n).any():
             return None
-    del key, same
+        at = np.flatnonzero(n > 8)
+        for k in range(0, longest, 8):
+            at = at[n[at] > k]
+            if ((words[s[at] + k] ^ words[s[same[at]] + k]) & _FIRST_BYTES[np.minimum(n[at] - k, 8)]).any():
+                return None
+        del same
+    del key
     # The distinct fields, each with the byte after it made an LF, decoded at once:
     # their places are a running sum of steps, 1 but from one field to the next.
     s, e = s[one], e[one]
@@ -352,6 +399,24 @@ def _intern(buf: np.ndarray, s: np.ndarray, e: np.ndarray):
     chunk = buf[np.cumsum(at, out=at)]
     chunk[end - 1] = 10
     return chunk.tobytes().decode("utf-8", "surrogatepass").split("\n")[:-1], codes
+
+
+def _iso_key(words: np.ndarray, s: np.ndarray) -> Optional[np.ndarray]:
+    """``(year * 13 + month) * 32 + day`` of each field at ``s``, or ``None``
+    unless every one reads ``YYYY-MM-DD`` with a month to 12 and a day to 31."""
+    u = np.uint64
+    head, tail = words[s] ^ _ISO[0], words[s + 2] ^ _ISO[1]
+    if ((head | head + _ISO_ADD[0] | tail | tail + _ISO_ADD[1]) & _HIGH_NIBBLES).any():
+        return None
+    # Each byte now holds its digit.  The eight digits, a byte each (the year's
+    # and the month's from the head, the day's from the tail's last two bytes),
+    # then every pair as one number, 16 bits apart: century, year, month, day.
+    d = head & u(0xFFFFFFFF) | head >> u(8) & u(0xFFFF << 32) | tail & u(0xFFFF << 48)
+    d = (d * u(10) + (d >> u(8))) & u(0x00FF00FF00FF00FF)
+    month, day = d >> u(32) & u(0xFF), d >> u(48)
+    if (month > 12).any() or (day > 31).any():
+        return None
+    return (((d & u(0xFF)) * u(100) + (d >> u(16) & u(0xFF))) * u(13) + month) * u(32) + day
 
 
 def write_panel_csv(panel: Panel, target: Target) -> None:

@@ -13,7 +13,9 @@ cross-section query the analyses make: it takes day pairs and returns
 their state-pair count tables, from one :meth:`Panel.states_at_many`
 sweep.  Both rolling series, the tests and the moments, walk the month
 grid of :meth:`Panel.month_passes`, and cohort matrices and moments are
-reductions of those tables.
+reductions of those tables.  Each pass over the events finds an event's
+grid bucket with :meth:`Panel.buckets`, by one table of every span day's
+bucket where the span has no more days than there are events.
 """
 
 from __future__ import annotations
@@ -124,6 +126,16 @@ class Panel:
         seg_end[self.offsets[1:] - 1] = self.coverage_end + 1
         return seg_end
 
+    def buckets(self, days, points, side: str = "left") -> np.ndarray:
+        """``np.searchsorted(days, points, side)`` for day offsets ``points`` in ``0..n_days``.
+
+        When the span has no more days than there are points, each point
+        is looked up in one table of every day's bucket, not binary-searched.
+        """
+        if self.n_days <= len(points):
+            return np.searchsorted(days, np.arange(self.n_days + 1), side)[points]
+        return np.searchsorted(days, points, side)
+
     def month_passes(self, look_ahead: int = 0):
         """The span's month starts as ``(datetime64[D] dates, int64 day offsets)``,
         :data:`MONTHS_PER_PASS` a pass plus the next ``look_ahead``, so each window
@@ -179,9 +191,9 @@ class Panel:
         step = np.diff(self.event_state, prepend=self.event_state[:1])
         step[first] = self.event_state[first] + 1
         bank = np.repeat(np.arange(n_banks), np.diff(self.offsets))
-        cell = np.searchsorted(days, self.event_day) * n_banks + bank
+        cell = self.buckets(days, self.event_day) * n_banks + bank
         np.add.at(delta.reshape(-1), cell, step.astype(np.int8))
-        lapse = np.searchsorted(days, self.coverage_end, side="right")
+        lapse = self.buckets(days, self.coverage_end, "right")
         delta[lapse, np.arange(n_banks)] -= (self.event_state[last] + 1).astype(np.int8)
         # Every partial sum is a state or -1, so int8 holds it exactly.
         np.cumsum(delta, axis=0, out=delta)

@@ -444,12 +444,19 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
 def _parse_initial(text: str) -> np.ndarray:
     if text == "uniform":
         return uniform_distribution()
-    if text.startswith("state:"):
-        return point_mass_distribution(int(text.split(":", 1)[1]))
-    parts = [p for p in text.split(",")]
-    if len(parts) != N_STATES:
-        raise ValueError(f"expected uniform, state:K or {N_STATES} comma-separated probabilities, got {text!r}")
-    return np.asarray([float(p) for p in parts])
+    parts = text.split(",")
+    try:
+        if text.startswith("state:"):
+            state = int(text[len("state:"):])
+        elif len(parts) == N_STATES:
+            return np.asarray([float(p) for p in parts])
+        else:
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            f"expected uniform, state:K or {N_STATES} comma-separated probabilities, got {text!r}"
+        ) from None
+    return point_mass_distribution(state)
 
 
 # Rates near the float maximum overflow to inf, which the generator

@@ -491,11 +491,20 @@ def test_simulate_bad_scenario_is_data_error(tmp_path, capsys):
             "homogeneous", "initial = 1",
             "initial: expected uniform, state:K or 15 comma-separated probabilities, got '1'",
         ),
+        (
+            "homogeneous", "initial = state:x",
+            "initial: expected uniform, state:K or 15 comma-separated probabilities, got 'state:x'",
+        ),
+        (
+            "homogeneous", "initial = " + ",".join(["0.1"] * 14 + ["x"]),
+            "initial: expected uniform, state:K or 15 comma-separated probabilities, got "
+            + repr(",".join(["0.1"] * 14 + ["x"])),
+        ),
     ],
     ids=[
         "gamma", "memory_days", "switch_date", "switch_multiplier", "n_banks-2**32",
         "seed-negative", "generator_seed-negative", "n_banks-text", "rate_scale-text", "start-date",
-        "initial-count",
+        "initial-count", "initial-state-text", "initial-probability-text",
     ],
 )
 def test_simulate_scenario_key_out_of_place_is_data_error(tmp_path, capsys, kind, value, message):

@@ -394,6 +394,15 @@ def test_fields_sharing_a_key_are_told_apart(monkeypatch, mix):
     assert parse(text) == want
 
 
+def test_date_keys_tell_near_iso_spellings_apart():
+    # Month 13 or day 32 of one month would share a digit key with month 0 or
+    # day 0 of the next; each record still reads its own text.
+    dates = ["2008-01-32", "2008-02-00", "2008-13-01", "2009-00-01", "2008-12-31", "2009-01-01", "0000-00-00"]
+    text = H + "".join(f"b1,{d},B\n" for d in dates)
+    texts, codes = ingest._scan(text.encode() + bytes(8))[1][1]
+    assert [texts[c] for c in codes] == dates
+
+
 def test_parse_memory_is_a_small_multiple_of_the_file(tmp_path):
     # Reading, interning and collapsing a simulated panel of over 20,000
     # rows holds at most ten times the file's bytes at once (the csv.reader
@@ -427,6 +436,42 @@ def test_parse_row_shuffle_property():
         assert parse("bank_id,date,rating\n" + "\n".join(rows) + "\n") == base
 
 
+def test_row_order_sorts_by_group_then_row_on_both_branches(monkeypatch):
+    # The value sort of group * rows + row where those keys stay below the
+    # limit, the stable argsort where they would not: the same order.
+    group = np.random.default_rng(3).integers(0, 7, 200)
+    want = np.argsort(group, kind="stable").tolist()
+    argsorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: argsorts.append(1) or argsort(*a, **k))
+    assert ingest._row_order(group, 7, limit=7 * 200).tolist() == want
+    assert not argsorts
+    assert ingest._row_order(group, 7, limit=7 * 200 - 1).tolist() == want
+    assert argsorts
+
+
+def test_shuffled_rows_name_the_row_a_row_by_row_reader_would():
+    # b2 conflicts on one day, b1 is withdrawn twice on one day; whichever bank
+    # comes first, the error names the row that the oracle names.
+    rows = [
+        "b1,2007-01-01,B", "b1,2007-03-01,C", "b1,2007-05-01,WR", "b1,2007-05-01,WR",
+        "b2,2007-02-01,A", "b2,2007-04-01,B", "b2,2007-04-01,C", "b2,2007-04-01,B",
+        "b3,2007-01-01,C", "b3,2007-01-01,C",
+    ]
+    rng = random.Random(11)
+    messages = set()
+    for _ in range(40):
+        rng.shuffle(rows)
+        text = H + "\n".join(rows) + "\n"
+        with pytest.raises(oracles.OracleFormatError) as want:
+            oracles.load_events(text, *SPAN)
+        with pytest.raises(DataFormatError) as got:
+            parse(text)
+        assert str(got.value) == str(want.value)
+        messages.add(str(got.value))
+    assert any("'b1'" in m for m in messages) and any("'b2'" in m for m in messages)
+
+
 # -- differential check against the row-by-row reader ----------------------
 
 DAY0 = D(2008, 1, 1)
@@ -436,10 +481,20 @@ ODD_DATES = (
     "2008-01", "NaT", "0000-01-01", "", "  ", "2008-02-30", "01/02/2008", "2008-1-4",
     "2008-01-0\udce9",
 )
+# Ten-byte and near-ISO spellings, each once among plain dates: the byte scan
+# keys a column by its digits only when every field reads YYYY-MM-DD.
+DATE_SHAPES = (
+    " 2008-01-04", "2008-1-04", "2008-02-30", "0000-01-01", "2008-0a-04", "2008-01-0:",
+    "2008/01/04", "2008-13-01", "2008-01-32",
+)
 VALID_LABELS = ("B", "B+", "C", "A-", "WR")
 ODD_LABELS = ("Z+", "", "wr", "b", "B\udce9", "\ud800")
-# ids over 8 and 16 bytes, sharing their first and last 8 bytes
-BANKS = ("b1", "b2", "b3", "issuer-0001-ltd", "issuer-0002-0001-ltd")
+# ids of 1 to 8 bytes, which the byte scan numbers in id order (two not
+# ASCII), and ids of 9 to 20 bytes, two sharing their first and last 8 bytes
+BANKS = (
+    "b1", "b2", "b3", "b", "bank-008", "b\u00e4nk", "\u00e9", "issuer-0001-ltd", "issuer-0002-0001-ltd",
+    "bank-0009", "bank-0000000-016",
+)
 ODD_BANKS = ("b\udce9",)
 
 
@@ -478,6 +533,12 @@ def valid_panel_rows(draw):
         elif spoiler == 1:  # withdrawal before the first rating
             rows.append((bank, days[0] - dt.timedelta(days=draw(st.integers(0, 3))), "WR"))
     rows = draw(st.permutations(rows))
+    if draw(st.booleans()):  # every field plain, but perhaps one date of another shape
+        odd = draw(st.integers(0, 2 * len(rows)))
+        return [
+            ",".join([b, draw(st.sampled_from(DATE_SHAPES)) if k == odd else d.isoformat(), lab])
+            for k, (b, d, lab) in enumerate(rows)
+        ]
     return [
         ",".join([draw(pad(b)), draw(date_texts(d)), draw(pad(lab))]) for b, d, lab in rows
     ]

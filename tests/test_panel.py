@@ -303,6 +303,20 @@ def test_states_at_many_rejects_days_not_strictly_ascending(days):
         panel.states_at_many(days)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n_points", [3, 250])
+def test_buckets_match_searchsorted(n_points, side):
+    # A 100-day span with fewer points than days (binary search) and more
+    # (the day table); grid days before the span, as moments' lag gives,
+    # inside it, repeated, and past its end.
+    panel = rl.Panel([], [0], [], [], [], (D(2008, 1, 1), D(2008, 4, 9)))
+    points = np.random.default_rng(n_points).integers(0, panel.n_days + 1, n_points)
+    points[:2] = 0, panel.n_days
+    for days in ([-31, -1, 0, 40, 40, 99, 100, 130], [-1], [150, 160], []):
+        days = np.array(days, dtype=np.int64)
+        assert panel.buckets(days, points, side).tolist() == np.searchsorted(days, points, side).tolist()
+
+
 @given(panel_specs(), st.data())
 def test_cross_sections_rows_match_each_list(specs, data):
     # Lists of days in any order, repeated within and across the lists,
