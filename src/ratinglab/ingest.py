@@ -127,7 +127,7 @@ def parse_panel(source: Target, span: tuple[Optional[dt.date], Optional[dt.date]
     if bank_ids == bank_texts:  # no id was padded, as texts are distinct
         bank = bank_col
     else:
-        bank_ids = sorted(dict.fromkeys(stripped))
+        bank_ids = list(dict.fromkeys(bank_ids))  # sorted, each id once
         rank = dict(zip(bank_ids, itertools.count()))
         bank = np.fromiter(map(rank.__getitem__, stripped), dtype=np.int64, count=len(stripped))[bank_col]
         del rank
@@ -255,14 +255,14 @@ def parse_panel(source: Target, span: tuple[Optional[dt.date], Optional[dt.date]
     )
 
 
-def _row_order(group: np.ndarray, n_groups: int, limit: int = 2**63) -> np.ndarray:
+def _row_order(group: np.ndarray, n_groups: int) -> np.ndarray:
     """The rows sorted by ``group`` (each in ``range(n_groups)``), then by row.
 
     One value sort of the distinct keys ``group * rows + row`` where they all
-    lie below ``limit`` (int64's), else a stable argsort, several times slower.
+    fit in int64, else a stable argsort, several times slower.
     """
     rows = group.size
-    if n_groups * rows > limit:
+    if n_groups * rows > 2**63:
         return np.argsort(group, kind="stable")
     return np.sort(group * rows + np.arange(rows)) % rows
 

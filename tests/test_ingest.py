@@ -437,16 +437,16 @@ def test_parse_row_shuffle_property():
 
 
 def test_row_order_sorts_by_group_then_row_on_both_branches(monkeypatch):
-    # The value sort of group * rows + row where those keys stay below the
-    # limit, the stable argsort where they would not: the same order.
+    # The value sort of group * rows + row where those keys fit in int64,
+    # the stable argsort where n_groups says they might not: the same order.
     group = np.random.default_rng(3).integers(0, 7, 200)
     want = np.argsort(group, kind="stable").tolist()
     argsorts = []
     argsort = np.argsort
     monkeypatch.setattr(np, "argsort", lambda *a, **k: argsorts.append(1) or argsort(*a, **k))
-    assert ingest._row_order(group, 7, limit=7 * 200).tolist() == want
+    assert ingest._row_order(group, 7).tolist() == want
     assert not argsorts
-    assert ingest._row_order(group, 7, limit=7 * 200 - 1).tolist() == want
+    assert ingest._row_order(group, 2**62).tolist() == want
     assert argsorts
 
 
@@ -512,8 +512,9 @@ def pad(text):
 
 
 @st.composite
-def valid_panel_rows(draw):
-    """Rows of a valid panel plus duplicates, re-affirmations and withdrawals."""
+def valid_events(draw):
+    """Events of a valid panel plus duplicates, re-affirmations and withdrawals,
+    as shuffled ``(bank, day, label)`` rows."""
     rows = []
     for bank in draw(st.lists(st.sampled_from(BANKS), min_size=1, max_size=3, unique=True)):
         days = sorted(draw(st.lists(st.sampled_from(GOOD_DATES), min_size=1, max_size=5, unique=True)))
@@ -532,15 +533,25 @@ def valid_panel_rows(draw):
             rows.append((bank, days[-1], "A-" if labels[-1] != "A-" else "B"))
         elif spoiler == 1:  # withdrawal before the first rating
             rows.append((bank, days[0] - dt.timedelta(days=draw(st.integers(0, 3))), "WR"))
-    rows = draw(st.permutations(rows))
-    if draw(st.booleans()):  # every field plain, but perhaps one date of another shape
-        odd = draw(st.integers(0, 2 * len(rows)))
-        return [
-            ",".join([b, draw(st.sampled_from(DATE_SHAPES)) if k == odd else d.isoformat(), lab])
-            for k, (b, d, lab) in enumerate(rows)
-        ]
+    return draw(st.permutations(rows))
+
+
+@st.composite
+def valid_panel_rows(draw):
+    """Rows of a valid panel, each field perhaps padded or spelled otherwise."""
     return [
-        ",".join([draw(pad(b)), draw(date_texts(d)), draw(pad(lab))]) for b, d, lab in rows
+        ",".join([draw(pad(b)), draw(date_texts(d)), draw(pad(lab))]) for b, d, lab in draw(valid_events())
+    ]
+
+
+@st.composite
+def plain_panel_rows(draw):
+    """Rows of a valid panel with every field plain, but perhaps one date of another shape."""
+    rows = draw(valid_events())
+    odd = draw(st.integers(0, 2 * len(rows)))
+    return [
+        ",".join([b, draw(st.sampled_from(DATE_SHAPES)) if k == odd else d.isoformat(), lab])
+        for k, (b, d, lab) in enumerate(rows)
     ]
 
 
@@ -568,7 +579,7 @@ def event_csv(draw):
     header = draw(st.sampled_from(["bank_id,date,rating"] * 6 + [" bank_id, date ,rating", "bank,date,rating", None]))
     if header is None:
         return ""
-    rows = draw(st.one_of(valid_panel_rows(), messy_rows()))
+    rows = draw(st.one_of(valid_panel_rows(), plain_panel_rows(), messy_rows()))
     end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))  # CRLF is what write_panel_csv writes
     return end.join([header] + rows) + draw(st.sampled_from([end, "", end + end]))
 
@@ -637,7 +648,7 @@ def test_csv_error_names_its_row(text, row):
         parse(text)
 
 
-@settings(max_examples=400)
+@settings(max_examples=600)
 @given(event_csv(), span_ends)
 def test_parse_panel_matches_row_by_row_oracle(text, ends):
     try:
@@ -662,7 +673,7 @@ def test_parse_panel_matches_row_by_row_oracle(text, ends):
     assert panel.coverage_end.tolist() == [(c - start).days for _, _, c in events]
 
 
-@settings(max_examples=300)
+@settings(max_examples=450)
 @given(event_csv())
 def test_byte_scan_reads_what_the_csv_module_reads(text):
     scanned = ingest._scan(text.encode("utf-8", "surrogatepass") + bytes(8))
@@ -678,7 +689,7 @@ def test_byte_scan_reads_what_the_csv_module_reads(text):
         assert len(set(texts)) == len(texts) == len(want_texts)
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(event_csv())
 def test_infer_span_matches_row_by_row_oracle(text):
     try:
@@ -698,7 +709,7 @@ def _outcome(text, span):
         return str(exc)
 
 
-@settings(max_examples=300)
+@settings(max_examples=450)
 @given(event_csv())
 def test_inferred_span_checks_like_the_given_span(text):
     # Inferring both ends changes no outcome: the same error, or the same
