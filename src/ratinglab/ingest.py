@@ -14,15 +14,15 @@ with numpy in the text's UTF-8 bytes and interns each column's fields
 as integer codes.  A text it could misread (one with a quote, a NUL, a
 CR not before an LF or a line over the csv module's field size limit)
 is read by a ``csv.reader`` loop.  A bank's code is its id's rank in
-id order.  The scan keys ids of up to 8 bytes by their bytes, read as
-one big-endian number, so it numbers them in id order already; longer
-ids by a hash of their words.  A date column whose every field reads
-``YYYY-MM-DD`` is keyed by its eight digits, one of any other shape as
-the ids are.  Dates are parsed once per distinct text, a missing end of
-the span is taken from those distinct dates, and the checks, the
-grouping of the rows by one value sort and the collapse into the
-panel's arrays are vectorised.  Each check names the
-row a row-by-row reader would.
+id order.  The scan numbers every column's fields in byte order, at any
+length, by ranking their 8-byte words in turn, each read as one
+big-endian number, so it numbers unpadded ids in id order already.  A
+date column whose every field reads ``YYYY-MM-DD`` is ranked by its
+eight digits instead.  Dates are parsed once per distinct text, a
+missing end of the span is taken from those distinct dates, and the
+checks, the grouping of the rows by one value sort and the collapse
+into the panel's arrays are vectorised.  Each check names the row a
+row-by-row reader would.
 
 The daily count series are read off the panel's arrays: the rated
 banks on each day are a running sum of coverage starts less ends.
@@ -69,7 +69,6 @@ _ISO_DATES = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}(?:,[0-9]{4}-[0-9]{2}-[0-9]{
 
 #: ``_FIRST_BYTES[k]`` keeps the first ``k`` bytes of a little-endian 8-byte word.
 _FIRST_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
-_MIX = np.uint64(0x9E3779B97F4A7C15)  # folds a long field's further words into its key
 
 #: A ``YYYY-MM-DD`` field's words at its first and third bytes, XORed with
 #: ``_ISO``, hold 0-9 in a digit's byte and 0 in a dash's, so adding
@@ -120,8 +119,9 @@ def parse_panel(source: Target, span: tuple[Optional[dt.date], Optional[dt.date]
         return 2 + int(i) + bisect.bisect_right(blanks, i)
 
     # Each bank's code is its id's rank in id order; raw bank texts
-    # that strip to the same id share it.  The byte scan numbers ids of
-    # up to 8 bytes in id order already: then its codes are the ranks.
+    # that strip to the same id share it.  The byte scan numbers ids in
+    # byte order, which is id order: unless an id is padded or the csv
+    # module read the text, its codes are the ranks.
     stripped = list(map(str.strip, bank_texts))
     bank_ids = sorted(stripped)
     if bank_ids == bank_texts:  # no id was padded, as texts are distinct
@@ -345,50 +345,34 @@ def _scan(data: bytes):
     edge = [sep[at + k] for k in range(-3, 1)]
     edge[3] -= crlf[line]
     del sep, nl, crlf, length, fields, blank, line, at
-    columns = [_intern(buf, edge[i] + 1, edge[i + 1]) for i in range(3)]
-    return None if None in columns else (header, columns, blanks, stop)
+    return header, [_intern(buf, edge[i] + 1, edge[i + 1]) for i in range(3)], blanks, stop
 
 
 def _intern(buf: np.ndarray, s: np.ndarray, e: np.ndarray):
-    """The fields ``buf[s:e]`` as ``(texts, codes)``, numbered in the order of their keys.
+    """The fields ``buf[s:e]`` as ``(texts, codes)``, numbered in byte order.
 
-    A column whose every field reads ``YYYY-MM-DD`` is keyed by the fields' digits.
-    Otherwise a key folds in a field's 8-byte words, each read as a big-endian
-    number, so fields of up to 8 bytes share one only if equal and are numbered in
-    byte order; longer ones sharing a key are compared word by word with one
-    (``None`` if any differ).
+    A column whose every field reads ``YYYY-MM-DD`` is ranked by the fields' digits.
+    Otherwise a field's code after its 8-byte word ``k``, read as a big-endian
+    number, is the rank of its pair (code before, rank of word ``k``), so fields
+    of any length share a code only if equal (none holds a NUL).
     """
     words = np.ndarray(buf.size - 7, dtype="<u8", buffer=buf, strides=(1,))  # the word at each byte
     n = e - s
     longest = int(n.max(initial=0))
     key = _iso_key(words, s) if (n == 10).all() else None
-    exact = key is not None or longest <= 8
-    if key is None:
-        key = np.zeros(n.size, dtype=np.uint64)
-        for k in range(0, longest, 8):
-            key = key * _MIX + (words[s + np.minimum(n, k)] & _FIRST_BYTES[np.clip(n - k, 0, 8)]).byteswap()
-        if 0 < longest < 8:  # short keys, such as labels', span a small range
-            key >>= np.uint64(64 - 8 * longest)
-    lo, hi = (int(key.min()), int(key.max())) if n.size else (0, -1)
-    if hi - lo < n.size:  # one table of the keys' range, no sort
-        seen = np.zeros(hi - lo + 1, dtype=bool)
-        seen[key - lo] = True
-        codes = (np.cumsum(seen) - 1)[key - lo]
+    if key is not None:
+        codes = _rank(key)
     else:
-        codes = np.unique(key, return_inverse=True)[1]
-    one = np.empty(codes.max(initial=-1) + 1, dtype=np.int64)
-    one[codes] = np.arange(n.size)  # a field with each key
-    if not exact:
-        same = one[codes]
-        if (n[same] != n).any():
-            return None
-        at = np.flatnonzero(n > 8)
+        codes = np.zeros(n.size, dtype=np.int64)
         for k in range(0, longest, 8):
-            at = at[n[at] > k]
-            if ((words[s[at] + k] ^ words[s[same[at]] + k]) & _FIRST_BYTES[np.minimum(n[at] - k, 8)]).any():
-                return None
-        del same
+            word = (words[s + np.minimum(n, k)] & _FIRST_BYTES[np.clip(n - k, 0, 8)]).byteswap()
+            if longest - k < 8:  # a short last word, such as a label's, spans a small range
+                word >>= np.uint64(64 - 8 * (longest - k))
+            word = _rank(word)
+            codes = _rank(codes * (int(word.max()) + 1) + word) if k else word
     del key
+    one = np.empty(codes.max(initial=-1) + 1, dtype=np.int64)
+    one[codes] = np.arange(n.size)  # a field with each code
     # The distinct fields, each with the byte after it made an LF, decoded at once:
     # their places are a running sum of steps, 1 but from one field to the next.
     s, e = s[one], e[one]
@@ -399,6 +383,17 @@ def _intern(buf: np.ndarray, s: np.ndarray, e: np.ndarray):
     chunk = buf[np.cumsum(at, out=at)]
     chunk[end - 1] = 10
     return chunk.tobytes().decode("utf-8", "surrogatepass").split("\n")[:-1], codes
+
+
+def _rank(key: np.ndarray) -> np.ndarray:
+    """Each key's rank among the distinct keys: by one table of the keys' range
+    where it is shorter than the keys, else by a sort."""
+    lo, hi = (int(key.min()), int(key.max())) if key.size else (0, -1)
+    if hi - lo < key.size:
+        seen = np.zeros(hi - lo + 1, dtype=bool)
+        seen[key - lo] = True
+        return (np.cumsum(seen) - 1)[key - lo]
+    return np.unique(key, return_inverse=True)[1]
 
 
 def _iso_key(words: np.ndarray, s: np.ndarray) -> Optional[np.ndarray]:

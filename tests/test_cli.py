@@ -3,6 +3,7 @@ import csv
 import datetime as dt
 import io
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -760,6 +761,44 @@ def test_console_entry_point_module():
     import ratinglab.__main__ as entry
 
     assert entry.main is main
+
+
+def test_every_reader_path_gives_the_plain_panels_outputs(tmp_path):
+    # The csv module reads the quoted copy; the byte scan reads the others:
+    # rows out of order, as real rating histories come; ids over 16 bytes
+    # with dates off the YYYY-MM-DD fast path; and padded ids, which the
+    # rank dict numbers.  Every output sums over banks, so each keeps its
+    # bytes under renamed ids.
+    names = ["counts/daily_counts.csv", "counts/transitions_per_bank.csv", "moments.csv"]
+    names += ["homogeneity.csv", "ck.csv"]
+
+    def outputs(path):
+        out = tmp_path / path.stem
+        assert run("counts", "--input", str(path), "--output", str(out / "counts")) == 0
+        for cmd in ("moments", "homogeneity", "ck"):
+            assert run(cmd, "--input", str(path), "--output", str(out / f"{cmd}.csv")) == 0
+        return [(out / name).read_bytes() for name in names]
+
+    plain = write_panel(tmp_path)
+    want = outputs(plain)
+    head, *body = rows(plain)
+    shuffled = body[:]
+    random.Random(1).shuffle(shuffled)
+    assert shuffled != body
+    copies = {
+        "quoted": body,
+        "shuffled": shuffled,
+        "prefixed": [["issuer-" + b * 2, " " + d, r] for b, d, r in body],
+        "padded": [[b + " ", d, r] for b, d, r in body],
+    }
+    assert all(len(row[0]) > 16 for row in copies["prefixed"])
+    for name, records in copies.items():
+        path = tmp_path / f"{name}.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            quoting = csv.QUOTE_ALL if name == "quoted" else csv.QUOTE_MINIMAL
+            csv.writer(fh, quoting=quoting).writerows([head] + records)
+        assert (b'"' in path.read_bytes()) == (name == "quoted")
+        assert outputs(path) == want, name
 
 
 # -- fuzzing ---------------------------------------------------------------

@@ -380,18 +380,36 @@ def test_written_panel_is_read_without_the_csv_module(tmp_path, monkeypatch):
     assert rl.parse_panel(io.StringIO(text), (None, None)).bank_ids == panel.bank_ids
 
 
-@pytest.mark.parametrize("mix", [0, 1])
-def test_fields_sharing_a_key_are_told_apart(monkeypatch, mix):
-    # With a multiplier of 0 a long field's key is its last word, and with 1
-    # the sum of its words, so these ids share keys ("!xxxxxxx!" has the key
-    # of "Bxxxxxxx" under 1: 0x21 + 0x21 = 0x42); the length and byte checks
-    # must still tell them apart.
-    ids = ["a-0001-suffix-id", "b-0001-suffix-id", "!xxxxxxx!", "Bxxxxxxx", "x" * 9, "y" * 9]
-    text = H + "".join(f"{b},2007-0{k + 1}-01,{'AB'[k % 2]}\n" for k, b in enumerate(ids))
-    want = parse(text)
-    assert want.bank_ids == tuple(sorted(ids))
-    monkeypatch.setattr(ingest, "_MIX", np.uint64(mix))
-    assert parse(text) == want
+def test_fields_of_any_length_are_ranked_in_byte_order():
+    # Ids sharing their last word, their first ("x" * 8 and "x" * 9) or every
+    # full word ("x" * 16 and "x" * 17), ids that are a prefix of another,
+    # and one not ASCII.
+    ids = [
+        "a-0001-suffix-id", "b-0001-suffix-id", "!xxxxxxx!", "Bxxxxxxx", "x" * 9, "y" * 9,
+        "x" * 8, "x" * 16, "x" * 17, "b\u00e4nk-0000-\u00e9",
+    ]
+    rows = [(b, f"2007-0{k % 9 + 1}-01", "AB"[k % 2]) for k, b in enumerate(ids)]
+    text = H + "".join(f"{b},{d},{lab}\n" for b, d, lab in rows)
+    _, columns, _, _ = ingest._scan(text.encode() + bytes(8))
+    for (texts, codes), want in zip(columns, zip(*rows)):
+        assert [texts[c] for c in codes] == list(want)
+        assert texts == sorted(set(want))
+    assert parse(text).bank_ids == tuple(sorted(ids))
+
+
+def test_rank_is_the_unique_inverse_on_both_branches(monkeypatch):
+    # A table of the key range where it is shorter than the keys, a sort
+    # where it is longer: the dense ranks that np.unique gives.
+    rng = np.random.default_rng(5)
+    small = np.uint64(2**63) + rng.integers(10, 60, 200).astype(np.uint64)  # as a word's keys
+    large = rng.choice(rng.integers(0, 2**62, 50), 200)  # as a pair's
+    uniques = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: uniques.append(1) or unique(*a, **k))
+    for key, sorts in ((small, False), (large, True)):
+        got = ingest._rank(key)
+        assert bool(uniques) == sorts
+        assert got.tolist() == unique(key, return_inverse=True)[1].tolist()
 
 
 def test_date_keys_tell_near_iso_spellings_apart():
@@ -489,8 +507,8 @@ DATE_SHAPES = (
 )
 VALID_LABELS = ("B", "B+", "C", "A-", "WR")
 ODD_LABELS = ("Z+", "", "wr", "b", "B\udce9", "\ud800")
-# ids of 1 to 8 bytes, which the byte scan numbers in id order (two not
-# ASCII), and ids of 9 to 20 bytes, two sharing their first and last 8 bytes
+# ids of 1 to 8 bytes (two not ASCII) and of 9 to 20 bytes, two sharing
+# their first and last 8 bytes
 BANKS = (
     "b1", "b2", "b3", "b", "bank-008", "b\u00e4nk", "\u00e9", "issuer-0001-ltd", "issuer-0002-0001-ltd",
     "bank-0009", "bank-0000000-016",
@@ -676,9 +694,13 @@ def test_parse_panel_matches_row_by_row_oracle(text, ends):
 @settings(max_examples=450)
 @given(event_csv())
 def test_byte_scan_reads_what_the_csv_module_reads(text):
-    scanned = ingest._scan(text.encode("utf-8", "surrogatepass") + bytes(8))
-    if scanned is None:  # a quote, a lone CR or an over-long line: the csv module reads it
-        assert '"' in text or BIG in text or "\r" in text.replace("\r\n", "")
+    data = text.encode("utf-8", "surrogatepass")
+    lines = data.replace(b"\r\n", b"\n").split(b"\n")
+    misread = b'"' in data or b"\0" in data or b"\r" in b"".join(lines)
+    scanned = ingest._scan(data + bytes(8))
+    # the csv module reads a text with a quote, a NUL, a lone CR or an over-long line
+    assert (scanned is None) == (misread or max(map(len, lines)) > csv.field_size_limit())
+    if scanned is None:
         return
     header, columns, blanks, stop = ingest._read_records(io.StringIO(text, newline=""))
     assert (scanned[0], scanned[2], scanned[3]) == (header, blanks, stop)
@@ -687,6 +709,7 @@ def test_byte_scan_reads_what_the_csv_module_reads(text):
     for (texts, codes), (want_texts, want_codes) in zip(scanned[1], columns):
         assert [texts[c] for c in codes] == [want_texts[c] for c in want_codes]
         assert len(set(texts)) == len(texts) == len(want_texts)
+        assert texts == sorted(texts)
 
 
 @settings(max_examples=300)
