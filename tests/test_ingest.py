@@ -397,6 +397,20 @@ def test_fields_of_any_length_are_ranked_in_byte_order():
     assert parse(text).bank_ids == tuple(sorted(ids))
 
 
+@pytest.mark.parametrize("reverse", [0, 1])
+def test_fields_sharing_a_key_are_told_apart(reverse):
+    # Ids that agree in their last 8-byte word, or whose words sum alike
+    # ("!xxxxxxx!" and "Bxxxxxxx": 0x21 + 0x21 = 0x42), would share a key
+    # under a hash of their words; ranked word by word, each keeps its own
+    # row and takes its id-order place whichever of them is read first.
+    ids = ["a-0001-suffix-id", "b-0001-suffix-id", "!xxxxxxx!", "Bxxxxxxx", "x" * 9, "y" * 9]
+    rows = [(b, D(2007, k + 1, 1)) for k, b in enumerate(ids)]
+    p = parse(H + "".join(f"{b},{d},B\n" for b, d in (rows[::-1] if reverse else rows)))
+    assert p.bank_ids == tuple(sorted(ids))
+    dates = {b: events[0][0] for b, (events, _) in zip(p.bank_ids, raw_histories(p))}
+    assert dates == dict(rows)
+
+
 def test_rank_is_the_unique_inverse_on_both_branches(monkeypatch):
     # A table of the key range where it is shorter than the keys, a sort
     # where it is longer: the dense ranks that np.unique gives.
